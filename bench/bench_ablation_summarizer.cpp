@@ -114,114 +114,5 @@ int main(int argc, char** argv) {
   std::printf("\nShape: BFS cost grows with scions x edges; SCC is near-linear in\n"
               "edges. The summary is orders of magnitude smaller than the\n"
               "snapshot — the paper's point: the DCDA works on a tiny residue.\n");
-
-  bench::header(
-      "Ablation — incremental re-summarization on a slowly-mutating heap\n"
-      "(the paper's \"lazily and incrementally\" mode: after the first full\n"
-      " pass, only scions whose visited region changed are re-traversed)");
-  std::printf("%-8s %-10s %14s %14s %14s %12s\n", "objects", "mutated/rd", "full (ms)",
-              "incr (ms)", "recomputed", "reused");
-  for (std::size_t n : {5'000u, 20'000u}) {
-    for (std::size_t mutations : {0u, 2u, 16u}) {
-      SnapshotData snap = random_snapshot(n, 2.0, 64, 123);
-      IncrementalSummarizer inc;
-      BfsSummarizer full;
-      inc.summarize(snap);  // warm the memo
-      Rng rng(5);
-      double full_ms = 0, inc_ms = 0;
-      std::size_t recomputed = 0, reused = 0;
-      const int rounds = 5;
-      for (int r = 0; r < rounds; ++r) {
-        for (std::size_t m = 0; m < mutations; ++m) {
-          auto& obj = snap.objects[rng.below(snap.objects.size())];
-          obj.local_fields.push_back(1 + rng.below(n));
-        }
-        {
-          bench::Stopwatch sw;
-          auto out = full.summarize(snap);
-          benchmark::DoNotOptimize(out);
-          full_ms += sw.ms();
-        }
-        {
-          bench::Stopwatch sw;
-          auto out = inc.summarize(snap);
-          benchmark::DoNotOptimize(out);
-          inc_ms += sw.ms();
-        }
-        recomputed += inc.last_recomputed();
-        reused += inc.last_reused();
-      }
-      std::printf("%-8zu %-10zu %14.2f %14.2f %14zu %12zu\n", n, mutations,
-                  full_ms / rounds, inc_ms / rounds, recomputed / rounds,
-                  reused / rounds);
-    }
-  }
-  std::printf("\nShape: on DENSE random graphs every scion visits half the heap, so\n"
-              "almost any mutation invalidates most memos and the memo overhead\n"
-              "loses to a plain pass — quantifying when NOT to use it.\n");
-
-  bench::header(
-      "Same ablation on a clustered heap (disjoint scion regions — the\n"
-      "realistic shape: each remote object owns a bounded subgraph)");
-  std::printf("%-8s %-10s %14s %14s %14s %12s\n", "objects", "mutated/rd", "full (ms)",
-              "incr (ms)", "recomputed", "reused");
-  for (std::size_t n : {5'000u, 20'000u}) {
-    for (std::size_t mutations : {0u, 2u, 16u}) {
-      // 64 disjoint chains, one scion each.
-      const std::size_t clusters = 64;
-      const std::size_t span = n / clusters;
-      SnapshotData snap;
-      snap.pid = 0;
-      for (std::size_t i = 1; i <= n; ++i) {
-        SnapshotData::Obj o;
-        o.seq = i;
-        if (i % span != 0 && i < n) o.local_fields.push_back(i + 1);
-        snap.objects.push_back(std::move(o));
-      }
-      snap.roots = {1};
-      for (std::size_t c = 0; c < clusters; ++c) {
-        const RefId ref = make_ref_id(0, c + 1);
-        snap.stubs.push_back({ref, ObjectId{1, c}, 0});
-        snap.objects[c * span + span / 2].remote_fields.push_back(ref);
-        snap.scions.push_back({make_ref_id(9, c + 1), 1, c * span + 1, 0});
-      }
-
-      IncrementalSummarizer inc;
-      BfsSummarizer full;
-      inc.summarize(snap);
-      Rng rng(5);
-      double full_ms = 0, inc_ms = 0;
-      std::size_t recomputed = 0, reused = 0;
-      const int rounds = 5;
-      for (int r = 0; r < rounds; ++r) {
-        for (std::size_t m = 0; m < mutations; ++m) {
-          // Mutations stay within their cluster (locality, as real apps).
-          const std::size_t idx = rng.below(snap.objects.size());
-          const std::size_t base = (idx / span) * span;
-          snap.objects[idx].local_fields.push_back(base + 1 + rng.below(span));
-        }
-        {
-          bench::Stopwatch sw;
-          auto out = full.summarize(snap);
-          benchmark::DoNotOptimize(out);
-          full_ms += sw.ms();
-        }
-        {
-          bench::Stopwatch sw;
-          auto out = inc.summarize(snap);
-          benchmark::DoNotOptimize(out);
-          inc_ms += sw.ms();
-        }
-        recomputed += inc.last_recomputed();
-        reused += inc.last_reused();
-      }
-      std::printf("%-8zu %-10zu %14.2f %14.2f %14zu %12zu\n", n, mutations,
-                  full_ms / rounds, inc_ms / rounds, recomputed / rounds,
-                  reused / rounds);
-    }
-  }
-  std::printf("\nShape: disjoint regions → a mutation invalidates at most its own\n"
-              "cluster's memo; incremental re-summarization beats the full pass by\n"
-              "the cluster count, as the paper's lazily-incremental mode intends.\n");
   return 0;
 }

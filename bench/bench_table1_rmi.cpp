@@ -207,8 +207,8 @@ SnapshotCost run_snapshot_series(int snapshots, bool pipeline) {
     return v;
   };
 
-  // One synchronous pass outside the window warms the store directory and
-  // the incremental summarizer's memo for both legs alike.
+  // One synchronous pass outside the window warms the store directory for
+  // both legs alike.
   rt.post_sync(0, [](Process& p) { p.take_snapshot(); });
 
   double blocked_us = 0;

@@ -325,7 +325,7 @@ SnapshotCost run_snapshot_series(int snapshots, bool pipeline) {
     return v;
   };
 
-  // Warm pass (store dir + summarizer memo) outside the window.
+  // Warm pass (store dir) outside the window.
   snap_node.post_sync([](Process& p) { p.take_snapshot(); });
 
   double blocked_us = 0;

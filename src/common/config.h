@@ -39,25 +39,15 @@ struct ProcessConfig {
   SimTime lgc_period_us = 20'000;
   /// AddScion handshake retry interval (message-loss tolerance).
   SimTime add_scion_retry_us = 5'000;
-  /// Max AddScion retries before the export is abandoned (test hook; in
-  /// production this would page an operator — losing the export leaks,
-  /// never corrupts).
-  int add_scion_max_retries = 20;
 
   // --- adaptive degradation (per-peer health, backoff, load shedding) ---
   /// Master switch. When off, every retry uses its fixed interval, no peer
   /// is ever suspected and nothing is shed — the pre-adaptive baseline the
   /// chaos harness compares against.
   bool adaptive_faults = true;
-  /// Cap on exponentially backed-off retry delays (AddScion re-sends and
-  /// NewSetStubs deferral to suspected peers). The base of each series is
-  /// its fixed interval (`add_scion_retry_us`, `lgc_period_us`).
-  SimTime backoff_cap_us = 200'000;
   /// Cap on the per-candidate detection re-launch backoff (base is
   /// `dcda_scan_period_us`, doubled per consecutive timeout).
   SimTime detection_backoff_cap_us = 4'000'000;
-  /// EWMA smoothing factor for the per-peer ack/reply latency estimate.
-  double health_ewma_alpha = 0.2;
   /// A peer is suspected after this many retry timers fired unanswered...
   std::uint32_t suspect_after_failures = 3;
   /// ...or, phi-accrual style, when it has been silent for more than
@@ -66,11 +56,6 @@ struct ProcessConfig {
   /// Lower bound on the RTT used by the accrual test (guards against a few
   /// lucky fast samples making the detector hair-triggered).
   SimTime suspect_rtt_floor_us = 2'000;
-  /// Bound on the sender-side outgoing window per peer (messages sent since
-  /// the peer was last heard from). Above it, CDMs to that peer are shed;
-  /// above twice it, NewSetStubs are too. Invocations, replies and the
-  /// AddScion handshake are never shed. 0 disables shedding.
-  std::uint32_t peer_outstanding_limit = 128;
 
   // --- permanent-failure eviction ---
   /// Escalates sustained suspicion into committed death: a peer that has
@@ -82,10 +67,6 @@ struct ProcessConfig {
   /// a forced crash/restart of the accused peer, never to a dangling
   /// reference, but restarts are not free. 0 disables eviction entirely.
   SimTime peer_death_timeout_us = 0;
-  /// Prunes peer-health slots with no send/hear activity for this long (and
-  /// not currently suspected), bounding survivor memory under peer churn.
-  /// 0 disables pruning.
-  SimTime peer_health_idle_prune_us = 600'000'000;
 
   /// Grace period protecting a *pending* (never yet confirmed by its holder)
   /// scion from NewSetStubs deletion while the reference may still be in
@@ -101,15 +82,6 @@ struct ProcessConfig {
   // --- snapshots / summarization ---
   /// Period between snapshot + summarization passes.
   SimTime snapshot_period_us = 50'000;
-  /// Which summarizer builds the DCDA's view (all equivalent; kScc is the
-  /// production choice, kBfs the simple reference, kIncremental memoizes
-  /// per-scion traversals across snapshots — the paper's "lazily and
-  /// incrementally" mode, best on slowly-mutating heaps).
-  enum class SummarizerKind { kBfs, kScc, kIncremental };
-  SummarizerKind summarizer = SummarizerKind::kScc;
-  /// Round-trip every snapshot through the binary serializer (exercises the
-  /// paper's serialize-to-disk path and the codec; off for micro-benches).
-  bool roundtrip_snapshots = true;
   /// When non-empty, every snapshot is also persisted here (the paper's
   /// snapshots-on-disk, §2.2) with bounded retention, and the process can
   /// recover its summarized view from disk after a restart.
@@ -139,26 +111,12 @@ struct ProcessConfig {
   /// been stable for this long (the paper's "not invoked for a certain
   /// amount of time" heuristic).
   SimTime candidate_quarantine_us = 40'000;
-  /// Ordering among eligible candidates when the in-flight budget can't
-  /// take them all (the paper defers candidate selection to the literature;
-  /// these are the classic options):
-  ///   kOldestQuiet    — longest-untouched first (paper's §2.1 intuition)
-  ///   kSmallestFanout — fewest outgoing stubs first (cheapest probes)
-  ///   kRoundRobin     — rotate the start point per scan (no starvation)
-  enum class CandidatePolicy { kOldestQuiet, kSmallestFanout, kRoundRobin };
-  CandidatePolicy candidate_policy = CandidatePolicy::kOldestQuiet;
   /// Initiator-side detection timeout; a lost CDM merely delays collection.
   SimTime detection_timeout_us = 2'000'000;
   /// Hard cap on CDM hops (safety net against pathological graphs).
   std::uint32_t cdm_hop_limit = 4096;
   /// Max detections a process keeps in flight simultaneously.
   std::uint32_t max_inflight_detections = 64;
-  /// §3.2 optimization: before forwarding a derived CDM, check the algebra
-  /// for unmatched invocation counters and abort locally instead of paying
-  /// another network hop ("race condition detection can be optimized if P1
-  /// analyzes unmatched counters in the algebra it is about to send").
-  /// Not required for safety; pure latency/traffic saving.
-  bool early_ic_check = true;
   /// TEST-ONLY planted bug (model-checker self-test): treat every invocation
   /// counter as zero inside the DCDA, disabling rule 3, the algebra IC-match
   /// abort and the last-moment scion revalidation — i.e. run the detector as
@@ -188,11 +146,6 @@ struct ProcessConfig {
   /// ...or when the oldest queued message has waited this long. Bounds the
   /// extra latency batching may add to any control message.
   SimTime batch_flush_us = 200;
-
-  // --- RMI ---
-  /// Whether remote invocations send a reply message (replies also bump
-  /// invocation counters, per the paper).
-  bool send_replies = true;
 
   // --- instrumentation toggles (Table 1) ---
   /// When false the runtime skips all stub/scion bookkeeping; models the

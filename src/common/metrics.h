@@ -32,140 +32,143 @@ class Counter {
   std::atomic<std::uint64_t> v_{0};
 };
 
-/// All protocol counters. Extend freely; report() prints non-zero entries.
+// Every counter and histogram is declared once, in the two lists below;
+// the struct fields and the name tables behind merge/report/reset and the
+// Prometheus exposition are generated from them. Names are part of the
+// exported interface (scrapers and benches read them): never rename one.
+// clang-format off
+#define ADGC_METRICS_COUNTERS(X)                                                             \
+  /* Mutator / RMI. */                                                                       \
+  X(invocations_sent)                                                                        \
+  X(invocations_received)                                                                    \
+  X(invocations_dropped)          /* delivered for a ref with no live scion */               \
+  X(replies_sent)                                                                            \
+  X(replies_received)                                                                        \
+  X(refs_exported)                                                                           \
+  X(refs_imported)                                                                           \
+  /* Acyclic DGC. */                                                                         \
+  X(stubs_created)                                                                           \
+  X(stubs_deleted)                                                                           \
+  X(scions_created)                                                                          \
+  X(scions_deleted_acyclic)       /* via NewSetStubs */                                      \
+  X(scions_deleted_cyclic)        /* via DCDA cycle-found */                                 \
+  X(new_set_stubs_sent)                                                                      \
+  X(new_set_stubs_received)                                                                  \
+  X(add_scion_sent)                                                                          \
+  X(add_scion_retries)                                                                       \
+  X(add_scion_abandoned)          /* handshake gave up after max retries */                  \
+  /* Local GC. */                                                                            \
+  X(lgc_runs)                                                                                \
+  X(objects_allocated)                                                                       \
+  X(objects_reclaimed)                                                                       \
+  /* Snapshots. */                                                                           \
+  X(snapshots_taken)                                                                         \
+  X(snapshot_bytes)                                                                          \
+  X(summarizations)                                                                          \
+  X(snapshots_coalesced)          /* request while one in flight (pipeline) */               \
+  X(snapshot_persist_failures)    /* store write/publish failed (summary still published) */ \
+  /* DCDA. */                                                                                \
+  X(detections_started)                                                                      \
+  X(detections_cycle_found)                                                                  \
+  X(detections_aborted_ic)        /* invocation-counter mismatch */                          \
+  X(detections_aborted_local)     /* Local.Reach stub hit */                                 \
+  X(detections_dropped_no_scion)  /* CDM to scion absent from snapshot */                    \
+  X(detections_dropped_dup)       /* derivation added nothing */                             \
+  X(cdms_deduped)                 /* identical CDM seen recently */                          \
+  X(detections_timed_out)                                                                    \
+  X(detections_aborted_crash)     /* in-flight when a peer crashed */                        \
+  X(cdms_sent)                                                                               \
+  X(cdms_received)                                                                           \
+  X(cdm_bytes)                                                                               \
+  /* Baseline (back-tracing) detector. */                                                    \
+  X(backtrace_requests)                                                                      \
+  X(backtrace_replies)                                                                       \
+  X(backtrace_cycles_found)                                                                  \
+  /* Baseline (global trace) collector. */                                                   \
+  X(gt_epochs_started)                                                                       \
+  X(gt_marks_sent)                                                                           \
+  X(gt_status_msgs)                                                                          \
+  X(gt_scions_deleted)                                                                       \
+  /* Network. */                                                                             \
+  X(messages_sent)                                                                           \
+  X(messages_delivered)                                                                      \
+  X(messages_lost)                                                                           \
+  X(messages_duplicated)                                                                     \
+  X(bytes_sent)                                                                              \
+  /* Adaptive degradation (per-peer health, backoff, load shedding). */                      \
+  X(peer_suspect_transitions)     /* healthy→suspected flips observed */                     \
+  X(cdms_shed)                    /* CDM dropped at the sender (window full) */              \
+  X(new_set_stubs_shed)           /* NewSetStubs dropped at the sender */                    \
+  X(new_set_stubs_deferred)       /* periodic NSS skipped (suspected peer backoff) */        \
+  X(detections_deferred_backoff)  /* candidate skipped (relaunch backoff) */                 \
+  X(candidates_deprioritized)     /* candidate ranked last (suspected first hop) */          \
+  /* Permanent-failure eviction. */                                                          \
+  X(peers_evicted)                /* peers committed dead locally */                         \
+  X(eviction_scions_dropped)      /* scions held by an evicted peer */                       \
+  X(eviction_stubs_retired)       /* stubs toward an evicted peer */                         \
+  X(detections_aborted_eviction)  /* in-flight detections torn down by eviction */           \
+  X(eviction_nacks_sent)          /* Evicted NACKs emitted at rejection */                   \
+  X(eviction_nacks_received)      /* zombie side: told to restart */                         \
+  X(messages_rejected_evicted)    /* traffic from a tombstoned incarnation */                \
+  X(nss_solicits_sent)            /* lease probes to silent scion holders */                 \
+  X(peer_health_slots)            /* gauge: tracked peers after last LGC */                  \
+  X(peer_health_slots_pruned)     /* idle slots reclaimed */                                 \
+  /* Control-plane batching (per-peer coalescing of CDM / NSS / AddScionAck). */             \
+  X(batches_sent)                 /* flushes that put a real batch (>=2) on the wire */      \
+  X(batch_singletons)             /* flushes degenerated to one plain message */             \
+  X(batched_messages)             /* control messages that entered a batch */                \
+  X(batch_flush_size)             /* flush reasons... */                                     \
+  X(batch_flush_count)                                                                       \
+  X(batch_flush_deadline)                                                                    \
+  X(batch_flush_priority)         /* invoke/reply/AddScion to same peer forced it */         \
+  X(batch_flush_burst)            /* end of a CDM scan/forward burst */                      \
+  X(batch_flush_drain)            /* shutdown/drain flush */                                 \
+  X(batch_bytes_saved)            /* (n-1) * frame header per flushed batch */               \
+  X(batches_received)                                                                        \
+  X(batch_messages_received)      /* messages unpacked from received batches */              \
+  X(batches_poisoned)             /* batch dropped whole: some item undecodable */           \
+  X(arena_acquires)               /* batch buffers handed out by the arena */                \
+  X(arena_reuses)                 /* ...of which satisfied from the free list */             \
+  /* TCP transport (real-socket deployment). */                                              \
+  X(tcp_connects)                 /* outbound connect() attempts */                          \
+  X(tcp_accepts)                  /* inbound connections accepted */                         \
+  X(tcp_disconnects)              /* connections closed on error/EOF */                      \
+  X(tcp_reconnect_backoffs)       /* reconnects deferred by the backoff series */            \
+  X(tcp_frames_sent)                                                                         \
+  X(tcp_frames_received)                                                                     \
+  X(tcp_frames_rejected)          /* framing errors (magic/version/CRC/length) */            \
+  X(tcp_hello_sent)                                                                          \
+  X(tcp_hello_received)                                                                      \
+  /* Crash/restart fault model. */                                                           \
+  X(process_crashes)                                                                         \
+  X(process_restarts)                                                                        \
+  X(restarts_recovered)           /* restart found a usable snapshot */                      \
+  X(messages_dropped_crashed)     /* destination was down */                                 \
+  X(messages_stale_incarnation)   /* from/to a dead incarnation */
+
+// Latency / size distributions (log-bucketed lock-free histograms; see
+// src/obs/histogram.h). Recorded at the hot spots of every runtime and
+// exported — alongside the counters — through the admin endpoint's
+// Prometheus /metrics exposition (src/obs/prom.h).
+#define ADGC_METRICS_HISTOGRAMS(X)                                                         \
+  X(rmi_rtt_us)                   /* invoke → reply round trip (Env clock) */              \
+  X(lgc_pause_us)                 /* run_lgc wall time before the NSS build */             \
+  X(snapshot_capture_us)          /* heap/table capture (always mutator-visible) */        \
+  X(snapshot_persist_us)          /* serialize + store write (persisted snapshots only) */ \
+  X(snapshot_summarize_us)        /* summarization wall time */                            \
+  X(detection_lifetime_us)        /* initiator-observed detection lifetime */              \
+  X(batch_flush_msgs)             /* messages per control-plane batch flush */             \
+  X(tcp_writeq_depth)             /* per-peer write queue depth at enqueue */
+// clang-format on
+
+/// All protocol counters and histograms; report() prints non-zero entries.
 struct Metrics {
-  // Mutator / RMI.
-  Counter invocations_sent;
-  Counter invocations_received;
-  Counter invocations_dropped;  // delivered for a ref with no live scion
-  Counter replies_sent;
-  Counter replies_received;
-  Counter refs_exported;
-  Counter refs_imported;
-
-  // Acyclic DGC.
-  Counter stubs_created;
-  Counter stubs_deleted;
-  Counter scions_created;
-  Counter scions_deleted_acyclic;   // via NewSetStubs
-  Counter scions_deleted_cyclic;    // via DCDA cycle-found
-  Counter new_set_stubs_sent;
-  Counter new_set_stubs_received;
-  Counter add_scion_sent;
-  Counter add_scion_retries;
-  Counter add_scion_abandoned;  // handshake gave up after max retries
-
-  // Local GC.
-  Counter lgc_runs;
-  Counter objects_allocated;
-  Counter objects_reclaimed;
-
-  // Snapshots.
-  Counter snapshots_taken;
-  Counter snapshot_bytes;
-  Counter summarizations;
-  Counter snapshots_coalesced;        // request while one in flight (pipeline)
-  Counter snapshot_persist_failures;  // store write/publish failed (summary still published)
-
-  // DCDA.
-  Counter detections_started;
-  Counter detections_cycle_found;
-  Counter detections_aborted_ic;        // invocation-counter mismatch
-  Counter detections_aborted_local;     // Local.Reach stub hit
-  Counter detections_dropped_no_scion;  // CDM to scion absent from snapshot
-  Counter detections_dropped_dup;       // derivation added nothing
-  Counter cdms_deduped;                 // identical CDM seen recently
-  Counter detections_timed_out;
-  Counter detections_aborted_crash;     // in-flight when a peer crashed
-  Counter cdms_sent;
-  Counter cdms_received;
-  Counter cdm_bytes;
-
-  // Baseline (back-tracing) detector.
-  Counter backtrace_requests;
-  Counter backtrace_replies;
-  Counter backtrace_cycles_found;
-
-  // Baseline (global trace) collector.
-  Counter gt_epochs_started;
-  Counter gt_marks_sent;
-  Counter gt_status_msgs;
-  Counter gt_scions_deleted;
-
-  // Network.
-  Counter messages_sent;
-  Counter messages_delivered;
-  Counter messages_lost;
-  Counter messages_duplicated;
-  Counter bytes_sent;
-
-  // Adaptive degradation (per-peer health, backoff, load shedding).
-  Counter peer_suspect_transitions;     // healthy→suspected flips observed
-  Counter cdms_shed;                    // CDM dropped at the sender (window full)
-  Counter new_set_stubs_shed;           // NewSetStubs dropped at the sender
-  Counter new_set_stubs_deferred;       // periodic NSS skipped (suspected peer backoff)
-  Counter detections_deferred_backoff;  // candidate skipped (relaunch backoff)
-  Counter candidates_deprioritized;     // candidate ranked last (suspected first hop)
-
-  // Permanent-failure eviction.
-  Counter peers_evicted;                // peers committed dead locally
-  Counter eviction_scions_dropped;      // scions held by an evicted peer
-  Counter eviction_stubs_retired;       // stubs toward an evicted peer
-  Counter detections_aborted_eviction;  // in-flight detections torn down by eviction
-  Counter eviction_nacks_sent;          // Evicted NACKs emitted at rejection
-  Counter eviction_nacks_received;      // zombie side: told to restart
-  Counter messages_rejected_evicted;    // traffic from a tombstoned incarnation
-  Counter nss_solicits_sent;            // lease probes to silent scion holders
-  Counter peer_health_slots;            // gauge: tracked peers after last LGC
-  Counter peer_health_slots_pruned;     // idle slots reclaimed
-
-  // Control-plane batching (per-peer coalescing of CDM / NSS / AddScionAck).
-  Counter batches_sent;              // flushes that put a real batch (>=2) on the wire
-  Counter batch_singletons;          // flushes degenerated to one plain message
-  Counter batched_messages;          // control messages that entered a batch
-  Counter batch_flush_size;          // flush reasons...
-  Counter batch_flush_count;
-  Counter batch_flush_deadline;
-  Counter batch_flush_priority;      // invoke/reply/AddScion to same peer forced it
-  Counter batch_flush_burst;         // end of a CDM scan/forward burst
-  Counter batch_flush_drain;         // shutdown/drain flush
-  Counter batch_bytes_saved;         // (n-1) * frame header per flushed batch
-  Counter batches_received;
-  Counter batch_messages_received;   // messages unpacked from received batches
-  Counter batches_poisoned;          // batch dropped whole: some item undecodable
-  Counter arena_acquires;            // batch buffers handed out by the arena
-  Counter arena_reuses;              // ...of which satisfied from the free list
-
-  // TCP transport (real-socket deployment).
-  Counter tcp_connects;          // outbound connect() attempts
-  Counter tcp_accepts;           // inbound connections accepted
-  Counter tcp_disconnects;       // connections closed on error/EOF
-  Counter tcp_reconnect_backoffs;  // reconnects deferred by the backoff series
-  Counter tcp_frames_sent;
-  Counter tcp_frames_received;
-  Counter tcp_frames_rejected;   // framing errors (magic/version/CRC/length)
-  Counter tcp_hello_sent;
-  Counter tcp_hello_received;
-
-  // Crash/restart fault model.
-  Counter process_crashes;
-  Counter process_restarts;
-  Counter restarts_recovered;           // restart found a usable snapshot
-  Counter messages_dropped_crashed;     // destination was down
-  Counter messages_stale_incarnation;   // from/to a dead incarnation
-
-  // Latency / size distributions (log-bucketed lock-free histograms; see
-  // src/obs/histogram.h). Recorded at the hot spots of every runtime and
-  // exported — alongside the counters — through the admin endpoint's
-  // Prometheus /metrics exposition (src/obs/prom.h).
-  Histogram rmi_rtt_us;               // invoke → reply round trip (Env clock)
-  Histogram lgc_pause_us;             // run_lgc wall time (incl. NSS build)
-  Histogram snapshot_capture_us;      // heap/table capture (always mutator-visible)
-  Histogram snapshot_persist_us;      // serialize + store write (+roundtrip decode)
-  Histogram snapshot_summarize_us;    // summarization wall time
-  Histogram detection_lifetime_us;    // initiator-observed detection lifetime
-  Histogram batch_flush_msgs;         // messages per control-plane batch flush
-  Histogram tcp_writeq_depth;         // per-peer write queue depth at enqueue
+#define ADGC_METRICS_DECLARE(name) Counter name;
+  ADGC_METRICS_COUNTERS(ADGC_METRICS_DECLARE)
+#undef ADGC_METRICS_DECLARE
+#define ADGC_METRICS_DECLARE(name) Histogram name;
+  ADGC_METRICS_HISTOGRAMS(ADGC_METRICS_DECLARE)
+#undef ADGC_METRICS_DECLARE
 
   /// Adds every counter and histogram of `other` into this (aggregation
   /// across processes).

@@ -7,7 +7,6 @@ namespace adgc {
 std::vector<RefId> select_candidates(const ScionTable& scions, const SummarizedGraph* snap,
                                      const DetectionManager& manager,
                                      const ProcessConfig& cfg, SimTime now,
-                                     std::uint64_t scan_seq,
                                      const CandidateHealthView* health,
                                      Metrics* metrics) {
   std::vector<RefId> out;
@@ -18,11 +17,9 @@ std::vector<RefId> select_candidates(const ScionTable& scions, const SummarizedG
           : 0;
   if (budget == 0) return out;
 
-  // Eligibility (identical for every policy).
   struct Eligible {
     RefId ref;
     SimTime last_ic_change;
-    std::size_t fanout;
     bool suspect_hop = false;  // some first CDM hop crosses a suspected link
   };
   std::vector<Eligible> eligible;
@@ -40,7 +37,7 @@ std::vector<RefId> select_candidates(const ScionTable& scions, const SummarizedG
         continue;
       }
     }
-    Eligible e{ref, scion.last_ic_change, sum->stubs_from.size(), false};
+    Eligible e{ref, scion.last_ic_change, false};
     if (health && health->peers && cfg.adaptive_faults) {
       // A detection needs every branch to come back; one suspected first hop
       // is enough to make it a bad use of the in-flight budget right now.
@@ -57,30 +54,15 @@ std::vector<RefId> select_candidates(const ScionTable& scions, const SummarizedG
   }
   if (eligible.empty()) return out;
 
-  switch (cfg.candidate_policy) {
-    case ProcessConfig::CandidatePolicy::kOldestQuiet:
-      std::stable_sort(eligible.begin(), eligible.end(),
-                       [](const Eligible& a, const Eligible& b) {
-                         return a.last_ic_change < b.last_ic_change;
-                       });
-      break;
-    case ProcessConfig::CandidatePolicy::kSmallestFanout:
-      std::stable_sort(eligible.begin(), eligible.end(),
-                       [](const Eligible& a, const Eligible& b) {
-                         return a.fanout < b.fanout;
-                       });
-      break;
-    case ProcessConfig::CandidatePolicy::kRoundRobin: {
-      const std::size_t shift = static_cast<std::size_t>(scan_seq % eligible.size());
-      std::rotate(eligible.begin(), eligible.begin() + static_cast<std::ptrdiff_t>(shift),
-                  eligible.end());
-      break;
-    }
-  }
+  // Oldest-quiet first: the longest-untouched scion is the likeliest
+  // garbage (the paper's §2.1 intuition).
+  std::stable_sort(eligible.begin(), eligible.end(), [](const Eligible& a, const Eligible& b) {
+    return a.last_ic_change < b.last_ic_change;
+  });
 
   // Suspected-hop candidates sink below every healthy one (stable: the
-  // policy order is preserved within each class). They are still taken when
-  // the budget allows — deprioritized, never starved.
+  // oldest-quiet order is preserved within each class). They are still
+  // taken when the budget allows — deprioritized, never starved.
   std::stable_partition(eligible.begin(), eligible.end(),
                         [](const Eligible& e) { return !e.suspect_hop; });
 

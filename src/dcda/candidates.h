@@ -35,12 +35,11 @@ struct CandidateHealthView {
   const std::map<RefId, SimTime>* not_before = nullptr;
 };
 
-/// `scan_seq` is a monotonically increasing per-process scan counter (used
-/// by the round-robin policy to rotate its starting point).
+/// Eligible candidates, oldest-quiet first (least recent IC change), up to
+/// the free in-flight detection budget.
 std::vector<RefId> select_candidates(const ScionTable& scions, const SummarizedGraph* snap,
                                      const DetectionManager& manager,
                                      const ProcessConfig& cfg, SimTime now,
-                                     std::uint64_t scan_seq = 0,
                                      const CandidateHealthView* health = nullptr,
                                      Metrics* metrics = nullptr);
 

@@ -223,7 +223,7 @@ int Detector::expand(const CdmMsg& base, const ScionSummary& scion, const Algebr
       metrics_.detections_dropped_dup.add();
       continue;
     }
-    if (cfg_.early_ic_check && match(derived).ic_conflict) {
+    if (match(derived).ic_conflict) {
       // §3.2 optimization: the algebra we are about to send already carries
       // an unmatched counter pair — the detection is doomed; abort here
       // rather than at the next hop.

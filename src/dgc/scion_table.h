@@ -9,9 +9,11 @@
 //   pending   — created, the holder process has never mentioned the ref yet.
 //               Deletable by NewSetStubs only after a grace period (covers
 //               the window where the reference is still in flight).
-//   confirmed — the holder invoked through the ref or listed it in a
-//               NewSetStubs; from then on NewSetStubs from the holder is
-//               authoritative (stale messages are rejected by export_seq).
+//   confirmed — the holder listed the ref in a NewSetStubs; from then on
+//               NewSetStubs from the holder is authoritative (stale messages
+//               are rejected by export_seq). An invocation through the ref
+//               does not confirm it: a NewSetStubs the holder built before
+//               installing the ref may arrive after the invocation.
 #pragma once
 
 #include <cstdint>

@@ -264,7 +264,6 @@ RuntimeConfig mc_config(std::uint64_t seed) {
   // adds flush-deadline timers — both only pollute the choice space.
   cfg.proc.adaptive_faults = false;
   cfg.proc.batching_enabled = false;
-  cfg.proc.roundtrip_snapshots = false;  // pure speed: the codec has own tests
   // Off by default so the existing trace corpus replays unchanged; the
   // Explorer re-enables it when ExplorerOptions::snapshot_pipeline_latency_us
   // is set, which adds the summary-publish timer as a choice point.

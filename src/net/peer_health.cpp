@@ -4,6 +4,13 @@
 
 namespace adgc {
 
+namespace {
+
+/// EWMA smoothing factor for the per-peer ack/reply latency estimate.
+constexpr double kEwmaAlpha = 0.2;
+
+}  // namespace
+
 SimTime backoff_delay(SimTime base_us, SimTime cap_us, int attempt, Rng& rng) {
   if (base_us == 0) base_us = 1;
   SimTime d = base_us;
@@ -41,8 +48,7 @@ void PeerHealthTracker::on_response(ProcessId peer, SimTime rtt_us, SimTime now)
   if (p.srtt_us <= 0.0) {
     p.srtt_us = sample;
   } else {
-    const double a = std::clamp(cfg_.health_ewma_alpha, 0.0, 1.0);
-    p.srtt_us = a * sample + (1.0 - a) * p.srtt_us;
+    p.srtt_us = kEwmaAlpha * sample + (1.0 - kEwmaAlpha) * p.srtt_us;
   }
   p.last_heard = now;
   p.consecutive_failures = 0;

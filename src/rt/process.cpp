@@ -13,6 +13,25 @@
 
 namespace adgc {
 
+namespace {
+
+/// AddScion re-sends before the export is abandoned (losing an export
+/// leaks its target, it never corrupts).
+constexpr int kAddScionMaxRetries = 20;
+/// Cap on the exponential backoff of AddScion re-sends and of NewSetStubs
+/// toward a suspected peer; each series starts at its fixed interval
+/// (`add_scion_retry_us`, `lgc_period_us`).
+constexpr SimTime kBackoffCapUs = 200'000;
+/// Sender-side outgoing window (messages sent since the peer was last
+/// heard from) toward a suspected peer above which CDMs are shed; above
+/// twice it, NewSetStubs are shed too.
+constexpr std::uint32_t kPeerOutstandingLimit = 128;
+/// Peer-health slots idle (and not suspected) this long are pruned, which
+/// bounds survivor memory under peer churn.
+constexpr SimTime kPeerHealthIdlePruneUs = 600'000'000;
+
+}  // namespace
+
 Process::Process(ProcessId pid, const ProcessConfig& cfg, Env& env, Incarnation incarnation)
     : pid_(pid), cfg_(cfg), env_(env), incarnation_(incarnation) {
   if (incarnation_ > 0) {
@@ -22,18 +41,6 @@ Process::Process(ProcessId pid, const ProcessConfig& cfg, Env& env, Incarnation 
     // incarnation can then never collide with the recovered one's.
     next_ref_counter_ = (std::uint64_t{incarnation_} << 32) + 1;
     heap_.set_next_seq_floor((std::uint64_t{incarnation_} << 40) + 1);
-  }
-  serializer_ = std::make_unique<BinarySerializer>();
-  switch (cfg_.summarizer) {
-    case ProcessConfig::SummarizerKind::kScc:
-      summarizer_ = std::make_unique<SccSummarizer>();
-      break;
-    case ProcessConfig::SummarizerKind::kIncremental:
-      summarizer_ = std::make_unique<IncrementalSummarizer>();
-      break;
-    case ProcessConfig::SummarizerKind::kBfs:
-      summarizer_ = std::make_unique<BfsSummarizer>();
-      break;
   }
   batcher_ = std::make_unique<Batcher>(cfg_, env_);
   Detector::Hooks hooks;
@@ -52,7 +59,7 @@ Process::Process(ProcessId pid, const ProcessConfig& cfg, Env& env, Incarnation 
     store_ = std::make_unique<SnapshotStore>(cfg_.snapshot_dir, cfg_.snapshot_retain);
   }
   pipeline_ = std::make_unique<SnapshotPipeline>(
-      pid_, cfg_, env_, *serializer_, *summarizer_, store_.get(),
+      pid_, cfg_, env_, serializer_, summarizer_, store_.get(),
       [this](SnapshotPipeline::Stages s) { adopt_summary(std::move(s)); });
 }
 
@@ -92,15 +99,15 @@ void Process::send(ProcessId dst, const MessagePayload& msg) {
   // shed NSS is superseded by the next full-state re-send), so shedding can
   // only delay collection, never corrupt it. Invocations, replies and the
   // AddScion handshake are never shed.
-  if (cfg_.adaptive_faults && cfg_.peer_outstanding_limit > 0) {
+  if (cfg_.adaptive_faults) {
     const std::uint32_t window = peer_health_.outstanding(dst);
-    if (window >= cfg_.peer_outstanding_limit && peer_health_.suspected(dst, env_.now())) {
+    if (window >= kPeerOutstandingLimit && peer_health_.suspected(dst, env_.now())) {
       if (std::holds_alternative<CdmMsg>(msg)) {
         metrics().cdms_shed.add();
         ADGC_TRACE("P" << pid_ << " shedding CDM to suspected P" << dst);
         return;
       }
-      if (window >= 2 * cfg_.peer_outstanding_limit &&
+      if (window >= 2 * kPeerOutstandingLimit &&
           std::holds_alternative<NewSetStubsMsg>(msg)) {
         metrics().new_set_stubs_shed.add();
         ADGC_TRACE("P" << pid_ << " shedding NewSetStubs to suspected P" << dst);
@@ -229,7 +236,7 @@ ExportedRef Process::begin_third_party_export(RefId held, ProcessId receiver,
 
 SimTime Process::handshake_retry_delay(int attempt) {
   if (!cfg_.adaptive_faults) return cfg_.add_scion_retry_us;
-  return backoff_delay(cfg_.add_scion_retry_us, cfg_.backoff_cap_us, attempt, env_.rng());
+  return backoff_delay(cfg_.add_scion_retry_us, kBackoffCapUs, attempt, env_.rng());
 }
 
 void Process::retry_handshake(std::uint64_t id) {
@@ -237,7 +244,7 @@ void Process::retry_handshake(std::uint64_t id) {
   if (it == handshakes_.end()) return;  // already acked
   Handshake& hs = it->second;
   peer_health_.on_timeout(hs.owner, env_.now());
-  if (++hs.retries > cfg_.add_scion_max_retries) {
+  if (++hs.retries > kAddScionMaxRetries) {
     ADGC_ERROR("P" << pid_ << " abandoning export after " << hs.retries
                    << " AddScion retries (ref " << ref_to_string(hs.msg.ref) << ")");
     metrics().add_scion_abandoned.add();
@@ -292,7 +299,7 @@ void Process::really_send_invoke(PendingInvoke&& inv) {
   msg.effect = inv.effect;
   msg.args = std::move(inv.args);
   msg.payload.assign(inv.payload_bytes, std::byte{0});
-  msg.want_reply = inv.want_reply && cfg_.send_replies;
+  msg.want_reply = inv.want_reply;
   msg.call_id = inv.call_id;
   metrics().invocations_sent.add();
   if (msg.want_reply) {
@@ -470,7 +477,9 @@ void Process::on_invoke(ProcessId src, const InvokeMsg& msg) {
       scion->ic = msg.ic;
       scion->last_ic_change = env_.now();
     }
-    scion->confirmed = true;
+    // No confirmation here: an older NewSetStubs from the holder, built
+    // before it installed this reference, may still be in flight, and a
+    // confirmed scion would not survive it. Only a listing confirms.
   }
 
   const ObjectSeq target_seq = scion ? scion->target : msg.target.seq;
@@ -506,7 +515,7 @@ void Process::on_invoke(ProcessId src, const InvokeMsg& msg) {
     }
   }
 
-  if (msg.want_reply && cfg_.send_replies) {
+  if (msg.want_reply) {
     ReplyMsg reply;
     reply.ref = msg.ref;
     reply.call_id = msg.call_id;
@@ -619,11 +628,8 @@ void Process::run_lgc() {
   const auto wall_start = std::chrono::steady_clock::now();
   const SimTime vt_start = env_.now();
   if (cfg_.dgc_enabled && cfg_.peer_death_timeout_us > 0) maybe_evict_peers();
-  if (cfg_.peer_health_idle_prune_us > 0) {
-    const std::size_t pruned =
-        peer_health_.prune_idle(env_.now(), cfg_.peer_health_idle_prune_us);
-    if (pruned > 0) metrics().peer_health_slots_pruned.add(pruned);
-  }
+  const std::size_t pruned = peer_health_.prune_idle(env_.now(), kPeerHealthIdlePruneUs);
+  if (pruned > 0) metrics().peer_health_slots_pruned.add(pruned);
   // Gauge semantics via reset+add: the table size as of this LGC.
   metrics().peer_health_slots.reset();
   metrics().peer_health_slots.add(peer_health_.size());
@@ -677,7 +683,7 @@ void Process::run_lgc() {
           metrics().new_set_stubs_deferred.add();
           continue;
         }
-        const SimTime spacing = backoff_delay(cfg_.lgc_period_us, cfg_.backoff_cap_us,
+        const SimTime spacing = backoff_delay(cfg_.lgc_period_us, kBackoffCapUs,
                                               static_cast<int>(gate.level), env_.rng());
         gate.next_ok = env_.now() + spacing;
         if (gate.level < 16) ++gate.level;
@@ -744,7 +750,7 @@ void Process::take_snapshot() {
   std::uint64_t version = 0;
   SimTime vt_start = 0;
   SnapshotData snap = capture_for_snapshot(&version, &vt_start);
-  adopt_summary(pipeline_->run_now(std::move(snap), version, vt_start));
+  adopt_summary(pipeline_->run_now(snap, version, vt_start));
 }
 
 void Process::request_snapshot() {
@@ -763,54 +769,46 @@ void Process::request_snapshot() {
   pipeline_->submit(std::move(snap), version, vt_start);
 }
 
-bool Process::recover_summary_from_store() {
-  if (!store_) return false;
+std::optional<SnapshotData> Process::install_stored_summary() {
+  if (!store_) return std::nullopt;
   const auto stored = store_->read_latest(pid_);
-  if (!stored) return false;
+  if (!stored) return std::nullopt;
   SnapshotData snap;
   try {
-    snap = serializer_->deserialize(stored->bytes);
+    snap = serializer_.deserialize(stored->bytes);
   } catch (const DecodeError& e) {
     ADGC_ERROR("P" << pid_ << " stored snapshot undecodable: " << e.what());
-    return false;
+    return std::nullopt;
   }
-  SummarizedGraph sum = summarizer_->summarize(snap);
+  SummarizedGraph sum = summarizer_.summarize(snap);
   sum.version = stored->version;
   snapshot_version_ = std::max(snapshot_version_, stored->version);
   summary_ = std::make_shared<const SummarizedGraph>(std::move(sum));
   detector_->set_snapshot(summary_);
-  ADGC_INFO("P" << pid_ << " recovered snapshot v" << stored->version << " from disk");
+  return snap;
+}
+
+bool Process::recover_summary_from_store() {
+  if (!install_stored_summary()) return false;
+  ADGC_INFO("P" << pid_ << " recovered snapshot v" << summary_->version << " from disk");
   return true;
 }
 
 bool Process::recover_from_store() {
-  if (!store_) return false;
-  const auto stored = store_->read_latest(pid_);
-  if (!stored) return false;
-  SnapshotData snap;
-  try {
-    snap = serializer_->deserialize(stored->bytes);
-  } catch (const DecodeError& e) {
-    ADGC_ERROR("P" << pid_ << " stored snapshot undecodable: " << e.what());
-    return false;
-  }
-  restore_snapshot(snap, heap_, stubs_, scions_, env_.now());
+  // The restored live state IS the state this snapshot describes, so the
+  // summary installed from it keeps in-flight detections consistent.
+  const std::optional<SnapshotData> snap = install_stored_summary();
+  if (!snap) return false;
+  restore_snapshot(*snap, heap_, stubs_, scions_, env_.now());
   // Rebuild the NewSetStubs contact set from the restored stub table; owners
   // of references we no longer hold will expire the orphan scions themselves.
   for (const auto& [ref, stub] : stubs_) {
     (void)ref;
     contacts_.insert(stub.target.owner);
   }
-  // The restored live state IS the state this snapshot describes, so handing
-  // its summary to the detector keeps in-flight detections consistent.
-  SummarizedGraph sum = summarizer_->summarize(snap);
-  sum.version = stored->version;
-  snapshot_version_ = std::max(snapshot_version_, stored->version);
-  summary_ = std::make_shared<const SummarizedGraph>(std::move(sum));
-  detector_->set_snapshot(summary_);
   ADGC_INFO("P" << pid_ << " (inc " << incarnation_ << ") recovered heap="
                 << heap_.size() << " stubs=" << stubs_.size() << " scions="
-                << scions_.size() << " from snapshot v" << stored->version);
+                << scions_.size() << " from snapshot v" << summary_->version);
   return true;
 }
 
@@ -1002,7 +1000,7 @@ void Process::run_dcda_scan() {
   health.peers = &peer_health_;
   health.not_before = &candidate_not_before_;
   const std::vector<RefId> cands = select_candidates(
-      scions_, summary_.get(), detector_->manager(), cfg_, env_.now(), scan_seq_++,
+      scions_, summary_.get(), detector_->manager(), cfg_, env_.now(),
       cfg_.adaptive_faults ? &health : nullptr,
       cfg_.adaptive_faults ? &env_.metrics() : nullptr);
   for (RefId c : cands) {

@@ -111,18 +111,19 @@ class Process {
   // ---------- collector driving (the runtimes call these on timers; tests
   // may call them directly for precise interleavings) ----------
   void run_lgc();
-  /// Synchronous snapshot: capture, serialize, persist and summarize inline,
-  /// publishing before returning. Cancels any in-flight pipeline pass first
-  /// (its stale result is discarded), so tests and the model checker see
-  /// deterministic, immediately-visible summaries.
+  /// Synchronous snapshot: capture, persist (serialize + store write, only
+  /// with a `snapshot_dir`) and summarize inline, publishing before
+  /// returning. Cancels any in-flight pipeline pass first (its stale result
+  /// is discarded), so tests and the model checker see deterministic,
+  /// immediately-visible summaries.
   void take_snapshot();
-  /// Pipelined snapshot: captures synchronously, then serializes/persists/
-  /// summarizes off the critical path, publishing the summary back through
-  /// an Env completion event (the detector keeps the previous version
-  /// meanwhile). Single-in-flight: a request while one is in flight is
-  /// coalesced (re-captured when the publish lands). Falls back to
-  /// take_snapshot() when ProcessConfig::snapshot_pipeline is off. This is
-  /// what the periodic snapshot tick drives.
+  /// Pipelined snapshot: captures synchronously, then persists (when
+  /// configured) and summarizes off the critical path, publishing the
+  /// summary back through an Env completion event (the detector keeps the
+  /// previous version meanwhile). Single-in-flight: a request while one is
+  /// in flight is coalesced (re-captured when the publish lands). Falls back
+  /// to take_snapshot() when ProcessConfig::snapshot_pipeline is off. This
+  /// is what the periodic snapshot tick drives.
   void request_snapshot();
   void run_dcda_scan();
 
@@ -284,6 +285,11 @@ class Process {
   void adopt_summary(SnapshotPipeline::Stages s);
   /// Shared head of both snapshot paths: captures and stamps the version.
   SnapshotData capture_for_snapshot(std::uint64_t* version_out, SimTime* vt_out);
+  /// Shared head of both recovery paths: reads and decodes the latest
+  /// persisted snapshot and installs its summary for the detector. Returns
+  /// the decoded snapshot, or nullopt (nothing installed) when nothing
+  /// usable is on disk.
+  std::optional<SnapshotData> install_stored_summary();
 
   // Periodic task drivers.
   void lgc_tick();
@@ -334,8 +340,8 @@ class Process {
   std::function<void(ProcessId)> self_evicted_hook_;
   std::function<void(ProcessId)> peer_evicted_hook_;
 
-  std::unique_ptr<Serializer> serializer_;
-  std::unique_ptr<Summarizer> summarizer_;
+  BinarySerializer serializer_;
+  SccSummarizer summarizer_;
   std::unique_ptr<SnapshotStore> store_;  // null when persistence is off
   std::shared_ptr<const SummarizedGraph> summary_;
   std::uint64_t snapshot_version_ = 0;
@@ -346,7 +352,6 @@ class Process {
   /// Declared after the serializer/summarizer/store it borrows: destroyed
   /// first, which joins the background worker before its inputs die.
   std::unique_ptr<SnapshotPipeline> pipeline_;
-  std::uint64_t scan_seq_ = 0;  // candidate round-robin cursor
   bool started_ = false;
 };
 

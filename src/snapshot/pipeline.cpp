@@ -58,32 +58,28 @@ bool SnapshotPipeline::consume_pending() {
   return std::exchange(ctl_->pending, false);
 }
 
-SnapshotPipeline::Stages SnapshotPipeline::run_now(SnapshotData snap,
+SnapshotPipeline::Stages SnapshotPipeline::run_now(const SnapshotData& snap,
                                                    std::uint64_t version,
                                                    SimTime requested_at) {
   Stages out;
   out.version = version;
   out.requested_at = requested_at;
   Metrics& m = env_.metrics();
-  if (cfg_.roundtrip_snapshots || store_) {
+  if (store_) {
     const auto wall0 = std::chrono::steady_clock::now();
     const SimTime vt0 = env_.now();
     const std::vector<std::byte> bytes = serializer_.serialize(snap);
-    out.bytes = bytes.size();
     m.snapshot_bytes.add(bytes.size());
-    if (store_) {
-      try {
-        store_->write(pid_, version, bytes);
-      } catch (const std::exception& e) {
-        // Surface, don't abort: the summary is still valid for detection,
-        // only durability suffered (recovery falls back to an older version).
-        out.persisted = false;
-        m.snapshot_persist_failures.add();
-        ADGC_ERROR("P" << pid_ << " snapshot v" << version
-                       << " persist failed: " << e.what());
-      }
+    try {
+      store_->write(pid_, version, bytes);
+    } catch (const std::exception& e) {
+      // Surface, don't abort: the summary is still valid for detection,
+      // only durability suffered (recovery falls back to an older version).
+      out.persisted = false;
+      m.snapshot_persist_failures.add();
+      ADGC_ERROR("P" << pid_ << " snapshot v" << version
+                     << " persist failed: " << e.what());
     }
-    if (cfg_.roundtrip_snapshots) snap = serializer_.deserialize(bytes);
     m.snapshot_persist_us.record(wall_us_since(wall0));
     obs::emit(env_.trace(),
               {env_.now(), pid_, obs::EventType::kSnapshotPersist,
@@ -114,7 +110,7 @@ void SnapshotPipeline::submit(SnapshotData snap, std::uint64_t version,
     // Deterministic simulator: the stages run inline (no concurrency to
     // model); only the publication is deferred, as a self-event the sim —
     // and the model checker's explicit schedule — orders like any other.
-    Stages s = run_now(std::move(snap), version, requested_at);
+    Stages s = run_now(snap, version, requested_at);
     auto ctl = ctl_;
     env_.schedule(cfg_.snapshot_pipeline_latency_us,
                   [self = this, ctl, s = std::move(s), gen]() mutable {
@@ -155,7 +151,7 @@ void SnapshotPipeline::worker_loop() {
     }
     Stages s;
     try {
-      s = run_now(std::move(snap), version, requested_at);
+      s = run_now(snap, version, requested_at);
     } catch (const std::exception& e) {
       // A stage threw past run_now's own handling (serializer bug): report
       // and deliver an empty result so the in-flight state still clears.

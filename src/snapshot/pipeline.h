@@ -1,5 +1,5 @@
-// Asynchronous snapshot pipeline: serialize → store-write → summarize off
-// the mutator path.
+// Asynchronous snapshot pipeline: serialize → store-write (only when a
+// snapshot store is configured) → summarize, off the mutator path.
 //
 // The paper's detector is built to tolerate stale views (§4: summarization
 // is "performed, lazily and incrementally"; the IC rules reject anything the
@@ -58,7 +58,6 @@ class SnapshotPipeline {
     SimTime requested_at = 0;  // Env clock at capture
     std::shared_ptr<const SummarizedGraph> summary;
     bool persisted = true;
-    std::uint64_t bytes = 0;  // serialized size (0 when serialization is off)
   };
 
   /// Publish hop, invoked on the owning process's execution context.
@@ -88,12 +87,14 @@ class SnapshotPipeline {
 
   /// Runs the stages synchronously on the caller's thread (the legacy
   /// take_snapshot path) and returns the result for immediate adoption.
-  Stages run_now(SnapshotData snap, std::uint64_t version, SimTime requested_at);
+  /// Serializes and persists only when a store is configured; always
+  /// summarizes `snap` itself.
+  Stages run_now(const SnapshotData& snap, std::uint64_t version, SimTime requested_at);
 
   /// Discards any in-flight work: waits (real_time Envs) for the worker to
   /// finish its current job, drops an unstarted one, clears `pending`, and
   /// invalidates not-yet-delivered completions. Called by the synchronous
-  /// snapshot path so stage state (summarizer memo, store) is never touched
+  /// snapshot path so stage state (summarizer, store) is never touched
   /// from two threads.
   void cancel_in_flight();
 

@@ -1,11 +1,13 @@
 // Graph summarization: SnapshotData → SummarizedGraph.
 //
 // Two interchangeable implementations:
+//  * SccSummarizer — the one every Process runs: Tarjan condensation + one
+//    bottom-up DP over the condensation DAG with bitset stub sets;
+//    O(|E| + |V|·|stubs|/64).
 //  * BfsSummarizer — one forward BFS per scion; simple, O(|scions|·|E|).
-//  * SccSummarizer — Tarjan condensation + one bottom-up DP over the
-//    condensation DAG with bitset stub sets; O(|E| + |V|·|stubs|/64).
-// They must produce identical summaries (enforced by property tests); the
-// ablation benchmark compares their cost on large snapshots.
+//    The reference the property tests and the ablation benchmark compare
+//    SccSummarizer against.
+// They must produce identical summaries (enforced by property tests).
 #pragma once
 
 #include <memory>
@@ -19,8 +21,6 @@ class Summarizer {
  public:
   virtual ~Summarizer() = default;
   virtual std::string name() const = 0;
-  /// Non-const: implementations may keep memoization state across calls
-  /// (the incremental summarizer does).
   virtual SummarizedGraph summarize(const SnapshotData& snap) = 0;
 };
 
@@ -34,46 +34,6 @@ class SccSummarizer final : public Summarizer {
  public:
   std::string name() const override { return "scc"; }
   SummarizedGraph summarize(const SnapshotData& snap) override;
-};
-
-/// Incremental summarizer (§4: summarization "is performed, lazily and
-/// incrementally, in each process, after a new object graph has been
-/// serialized").
-///
-/// Remembers, per scion, the exact set of objects its forward traversal
-/// visited. On the next snapshot only scions whose visited set intersects
-/// the changed-object set (field edits, deletions; additions only become
-/// reachable through a changed object) are re-traversed — sound because a
-/// scion's StubsFrom depends exclusively on the fields of its visited
-/// objects. Local.Reach is recomputed each time (one BFS); ScionsTo is an
-/// inversion of StubsFrom.
-class IncrementalSummarizer final : public Summarizer {
- public:
-  std::string name() const override { return "incremental"; }
-  SummarizedGraph summarize(const SnapshotData& snap) override;
-
-  /// Scions re-traversed on the last call (ablation metric).
-  std::size_t last_recomputed() const { return last_recomputed_; }
-  std::size_t last_reused() const { return last_reused_; }
-
- private:
-  struct Memo {
-    std::vector<ObjectSeq> visited;  // sorted
-    /// Every remote reference the traversal encountered, whether or not a
-    /// stub-table entry existed for it at memo time — StubsFrom is derived
-    /// per snapshot by intersecting with the stubs present *then*. Recording
-    /// only present stubs is unsound: a stub appearing later changes no
-    /// visited fingerprint, so the memo would be reused while missing it.
-    std::vector<RefId> remote_refs;  // sorted, unique
-  };
-
-  // Compact fingerprint of one object's identity-relevant content.
-  static std::uint64_t object_fingerprint(const SnapshotData::Obj& o);
-
-  std::unordered_map<ObjectSeq, std::uint64_t> prev_objects_;  // seq → fingerprint
-  std::unordered_map<RefId, Memo> memo_;
-  std::size_t last_recomputed_ = 0;
-  std::size_t last_reused_ = 0;
 };
 
 /// Sorts set vectors and fills the inverse relation (ScionsTo from

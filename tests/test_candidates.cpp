@@ -97,7 +97,6 @@ TEST_F(Candidates, BudgetCapsSelection) {
 }
 
 TEST_F(Candidates, OldestQuietOrdersByLastChange) {
-  cfg.candidate_policy = ProcessConfig::CandidatePolicy::kOldestQuiet;
   cfg.max_inflight_detections = 2;
   const RefId young = add(1, false, /*last_change=*/90);
   const RefId old1 = add(1, false, /*last_change=*/10);
@@ -107,35 +106,6 @@ TEST_F(Candidates, OldestQuietOrdersByLastChange) {
   EXPECT_EQ(out[0], old1);
   EXPECT_EQ(out[1], old2);
   (void)young;
-}
-
-TEST_F(Candidates, SmallestFanoutPrefersCheapProbes) {
-  cfg.candidate_policy = ProcessConfig::CandidatePolicy::kSmallestFanout;
-  cfg.max_inflight_detections = 1;
-  const RefId wide = add(1, false, 0);
-  snap.scions.at(wide).stubs_from.push_back(make_ref_id(2, 100));
-  snap.scions.at(wide).stubs_from.push_back(make_ref_id(2, 101));
-  const RefId narrow = add(1, false, 0);
-  const auto out = select_candidates(scions, &snap, manager, cfg, 500);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0], narrow);
-}
-
-TEST_F(Candidates, RoundRobinRotates) {
-  cfg.candidate_policy = ProcessConfig::CandidatePolicy::kRoundRobin;
-  cfg.max_inflight_detections = 1;
-  const RefId a = add(1, false, 0);
-  const RefId b = add(1, false, 0);
-  const RefId c = add(1, false, 0);
-  const auto first = select_candidates(scions, &snap, manager, cfg, 500, /*scan=*/0);
-  const auto second = select_candidates(scions, &snap, manager, cfg, 500, /*scan=*/1);
-  const auto third = select_candidates(scions, &snap, manager, cfg, 500, /*scan=*/2);
-  ASSERT_EQ(first.size(), 1u);
-  ASSERT_EQ(second.size(), 1u);
-  ASSERT_EQ(third.size(), 1u);
-  // Three consecutive scans cover all three candidates.
-  std::set<RefId> covered = {first[0], second[0], third[0]};
-  EXPECT_EQ(covered, (std::set<RefId>{a, b, c}));
 }
 
 TEST(DetectionManager, BeginEndExpire) {

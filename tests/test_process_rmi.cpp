@@ -41,11 +41,65 @@ TEST_F(Rmi, InvocationBumpsCountersBothSides) {
   EXPECT_EQ(ic1_scion, ic1_stub);
 }
 
-TEST_F(Rmi, InvocationConfirmsScion) {
+TEST_F(Rmi, InvocationLeavesScionPendingUntilListed) {
   EXPECT_FALSE(rt.proc(1).scions().find(a_to_b)->confirmed);
   rt.proc(0).invoke(a.seq, a_to_b, InvokeEffect::kTouch);
   rt.run_for(50'000);
+  EXPECT_FALSE(rt.proc(1).scions().find(a_to_b)->confirmed);
+  // The holder's next NewSetStubs lists the reference and confirms it.
+  rt.proc(0).run_lgc();
+  rt.run_for(50'000);
   EXPECT_TRUE(rt.proc(1).scions().find(a_to_b)->confirmed);
+}
+
+// An invocation must not confirm a scion. The holder's NewSetStubs built
+// before it installed the reference can arrive after an invocation through
+// that reference; were the scion confirmed by then, that stale listing
+// would delete it while the holder still holds the stub.
+TEST(RmiRace, InvokeAheadOfOlderNewSetStubsKeepsScion) {
+  RuntimeConfig cfg = sim::manual_config(5);
+  cfg.proc.batching_enabled = false;  // the NSS leaves at run_lgc()
+  Runtime rt(2, cfg);
+  rt.enable_explicit_schedule();
+  Process& holder = rt.proc(0);
+  Process& owner = rt.proc(1);
+  const ObjectSeq h = holder.create_object();
+  holder.add_root(h);
+  const ObjectSeq y = owner.create_object();
+  owner.add_root(y);
+  rt.link(ObjectId{0, h}, ObjectId{1, y});  // makes the owner a contact
+
+  const auto deliver = [&](MessageTag tag) {
+    for (const auto& e : rt.pending_infos()) {
+      if (e.is_message && e.dst == 1 && e.tag == static_cast<std::uint8_t>(tag)) {
+        return rt.execute_event(e.id);
+      }
+    }
+    return false;
+  };
+
+  // 1. The owner exports X: pending scion.
+  const ObjectSeq x = owner.create_object();
+  const ExportedRef er = owner.export_own_object(x, /*holder=*/0);
+  // 2. The holder's LGC sends a NewSetStubs that does not list X.
+  holder.run_lgc();
+  // 3. The holder installs X and invokes through it.
+  const RefId ref = holder.install_ref(h, er);
+  holder.invoke(h, ref, InvokeEffect::kTouch);
+  // 4-5. The invocation overtakes the older NewSetStubs.
+  ASSERT_TRUE(deliver(MessageTag::kInvoke));
+  ASSERT_TRUE(deliver(MessageTag::kNewSetStubs));
+  // 6. The owner's LGC must keep X: the holder still holds the stub.
+  owner.run_lgc();
+  ASSERT_TRUE(holder.stubs().contains(ref));
+  EXPECT_TRUE(owner.scions().contains(ref));
+  EXPECT_TRUE(owner.heap().exists(x));
+
+  // The holder's next NewSetStubs lists X and confirms the scion.
+  holder.run_lgc();
+  ASSERT_TRUE(deliver(MessageTag::kNewSetStubs));
+  ASSERT_NE(owner.scions().find(ref), nullptr);
+  EXPECT_TRUE(owner.scions().find(ref)->confirmed);
 }
 
 TEST_F(Rmi, NoReplyModeBumpsOnce) {

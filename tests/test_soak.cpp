@@ -1,7 +1,6 @@
 // Soak tests: larger, longer randomized runs than test_property_random —
-// more processes, more mutation, mixed fault injection, and both
-// summarizer families — checking the same two invariants (safety
-// continuously, completeness after settling).
+// more processes, more mutation and mixed fault injection — checking the
+// same two invariants (safety continuously, completeness after settling).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -26,7 +25,6 @@ struct SoakParams {
   std::size_t procs;
   double loss;
   int rounds;
-  ProcessConfig::SummarizerKind summarizer;
   bool fifo;
 };
 
@@ -38,7 +36,6 @@ TEST_P(Soak, LongRunConverges) {
   cfg.net.loss_probability = p.loss;
   cfg.net.duplicate_probability = p.loss / 2;
   cfg.net.fifo_links = p.fifo;
-  cfg.proc.summarizer = p.summarizer;
   Runtime rt(p.procs, cfg);
 
   sim::WorkloadParams wp;
@@ -71,11 +68,9 @@ TEST_P(Soak, LongRunConverges) {
 INSTANTIATE_TEST_SUITE_P(
     Mixed, Soak,
     ::testing::Values(
-        SoakParams{31, 8, 0.0, 80, ProcessConfig::SummarizerKind::kScc, false},
-        SoakParams{32, 10, 0.05, 60, ProcessConfig::SummarizerKind::kScc, false},
-        SoakParams{33, 6, 0.0, 100, ProcessConfig::SummarizerKind::kIncremental, false},
-        SoakParams{34, 6, 0.10, 60, ProcessConfig::SummarizerKind::kBfs, true},
-        SoakParams{35, 12, 0.0, 50, ProcessConfig::SummarizerKind::kIncremental, true}));
+        SoakParams{31, 8, 0.0, 80, false}, SoakParams{32, 10, 0.05, 60, false},
+        SoakParams{33, 6, 0.0, 100, false}, SoakParams{34, 6, 0.10, 60, true},
+        SoakParams{35, 12, 0.0, 50, true}));
 
 }  // namespace
 }  // namespace adgc

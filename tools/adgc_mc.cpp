@@ -121,26 +121,27 @@ Options parse(int argc, char** argv) {
       if (!kind) usage(argv[0], "unknown scenario");
       opt.ex.scenario = *kind;
     } else if (cli::parse_flag(argv[i], "--steps", &v)) {
-      opt.ex.max_steps = static_cast<std::uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
+      if (!cli::parse_number(v, &opt.ex.max_steps)) usage(argv[0], "bad --steps");
     } else if (cli::parse_flag(argv[i], "--schedules", &v)) {
-      opt.ex.max_schedules = std::strtoull(v.c_str(), nullptr, 10);
+      if (!cli::parse_number(v, &opt.ex.max_schedules)) usage(argv[0], "bad --schedules");
     } else if (cli::parse_flag(argv[i], "--preemptions", &v)) {
-      opt.preemptions = static_cast<std::uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
+      if (!cli::parse_number(v, &opt.preemptions)) usage(argv[0], "bad --preemptions");
     } else if (cli::parse_flag(argv[i], "--seed", &v)) {
-      opt.ex.seed = std::strtoull(v.c_str(), nullptr, 10);
+      if (!cli::parse_number(v, &opt.ex.seed)) usage(argv[0], "bad --seed");
     } else if (cli::parse_flag(argv[i], "--loss-budget", &v)) {
-      opt.ex.loss_budget = static_cast<std::uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
+      if (!cli::parse_number(v, &opt.ex.loss_budget)) usage(argv[0], "bad --loss-budget");
     } else if (cli::parse_flag(argv[i], "--crash-budget", &v)) {
-      opt.ex.crash_budget = static_cast<std::uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
+      if (!cli::parse_number(v, &opt.ex.crash_budget)) usage(argv[0], "bad --crash-budget");
     } else if (cli::parse_flag(argv[i], "--collector-budget", &v)) {
-      opt.ex.collector_budget =
-          static_cast<std::uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
+      if (!cli::parse_number(v, &opt.ex.collector_budget)) {
+        usage(argv[0], "bad --collector-budget");
+      }
     } else if (cli::parse_flag(argv[i], "--trace-out", &v)) {
       opt.trace_out = v;
     } else if (cli::parse_flag(argv[i], "--trace-in", &v)) {
       opt.trace_in = v;
     } else if (cli::parse_flag(argv[i], "--record", &v)) {
-      opt.record = std::strtoull(v.c_str(), nullptr, 10);
+      if (!cli::parse_number(v, &opt.record)) usage(argv[0], "bad --record");
     } else if (cli::parse_flag(argv[i], "--expect", &v)) {
       if (v == "violation") {
         opt.expect_violation = true;
@@ -154,10 +155,11 @@ Options parse(int argc, char** argv) {
     } else if (cli::parse_flag(argv[i], "--unsafe-no-ic", &v)) {
       opt.ex.unsafe_no_ic = true;
     } else if (cli::parse_flag(argv[i], "--pipeline-latency-us", &v)) {
-      opt.ex.snapshot_pipeline_latency_us =
-          static_cast<std::uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
+      if (!cli::parse_number(v, &opt.ex.snapshot_pipeline_latency_us)) {
+        usage(argv[0], "bad --pipeline-latency-us");
+      }
     } else if (cli::parse_flag(argv[i], "--time-budget-ms", &v)) {
-      opt.ex.time_budget_ms = std::strtoull(v.c_str(), nullptr, 10);
+      if (!cli::parse_number(v, &opt.ex.time_budget_ms)) usage(argv[0], "bad --time-budget-ms");
     } else if (cli::parse_flag(argv[i], "--log", &v)) {
       if (v == "trace") {
         Log::set_level(LogLevel::kTrace);

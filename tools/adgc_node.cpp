@@ -146,8 +146,10 @@ std::map<ProcessId, PeerAddr> parse_peers(const std::string& spec) {
     if (eq == std::string::npos) {
       throw std::invalid_argument("--peers entry must be id=host:port: '" + entry + "'");
     }
-    const ProcessId pid =
-        static_cast<ProcessId>(std::strtoul(entry.substr(0, eq).c_str(), nullptr, 10));
+    ProcessId pid = kNoProcess;
+    if (!cli::parse_number(entry.substr(0, eq), &pid, 0, kNoProcess - 1)) {
+      throw std::invalid_argument("--peers entry has a bad id: '" + entry + "'");
+    }
     peers[pid] = parse_peer_addr(entry.substr(eq + 1));
     pos = comma + 1;
   }
@@ -161,55 +163,60 @@ Options parse(int argc, char** argv) {
     if (parse_flag(argv[i], "--help", &v) || std::strcmp(argv[i], "-h") == 0) {
       usage(argv[0], 0);
     } else if (parse_flag(argv[i], "--id", &v)) {
-      opt.id = static_cast<ProcessId>(std::strtoul(v.c_str(), nullptr, 10));
+      if (!cli::parse_number(v, &opt.id, 0, kNoProcess - 1)) usage(argv[0], 2);
     } else if (parse_flag(argv[i], "--listen", &v)) {
       opt.listen = v;
     } else if (parse_flag(argv[i], "--peers", &v)) {
-      opt.peers = parse_peers(v);
+      try {
+        opt.peers = parse_peers(v);
+      } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        usage(argv[0], 2);
+      }
     } else if (parse_flag(argv[i], "--state-dir", &v)) {
       opt.state_dir = v;
     } else if (parse_flag(argv[i], "--seed", &v)) {
-      opt.seed = std::strtoull(v.c_str(), nullptr, 10);
+      if (!cli::parse_number(v, &opt.seed)) usage(argv[0], 2);
     } else if (parse_flag(argv[i], "--run-ms", &v)) {
-      opt.run_ms = std::strtoull(v.c_str(), nullptr, 10);
+      if (!cli::parse_number(v, &opt.run_ms, 0, cli::kMaxMs)) usage(argv[0], 2);
     } else if (parse_flag(argv[i], "--plant-ring", &v)) {
       const std::size_t colon = v.find(':');
       if (colon == std::string::npos) usage(argv[0], 2);
       sim::ClusterPlant plant;
-      plant.nodes = std::strtoull(v.substr(0, colon).c_str(), nullptr, 10);
-      plant.objs_per_node = std::strtoull(v.substr(colon + 1).c_str(), nullptr, 10);
-      if (plant.nodes < 2 || plant.objs_per_node < 1) usage(argv[0], 2);
+      if (!cli::parse_number(v.substr(0, colon), &plant.nodes, 2) ||
+          !cli::parse_number(v.substr(colon + 1), &plant.objs_per_node, 1)) {
+        usage(argv[0], 2);
+      }
       opt.plant = plant;
     } else if (parse_flag(argv[i], "--drop-root-after-ms", &v)) {
-      opt.drop_root_after_ms = std::strtoull(v.c_str(), nullptr, 10);
+      if (!cli::parse_number(v, &opt.drop_root_after_ms, 0, cli::kMaxMs)) usage(argv[0], 2);
     } else if (parse_flag(argv[i], "--crash-at-ms", &v)) {
-      opt.crash_at_ms = std::strtoull(v.c_str(), nullptr, 10);
+      if (!cli::parse_number(v, &opt.crash_at_ms, 0, cli::kMaxMs)) usage(argv[0], 2);
     } else if (parse_flag(argv[i], "--status-every-ms", &v)) {
-      opt.status_every_ms = std::strtoull(v.c_str(), nullptr, 10);
+      if (!cli::parse_number(v, &opt.status_every_ms, 0, cli::kMaxMs)) usage(argv[0], 2);
     } else if (parse_flag(argv[i], "--lgc-ms", &v)) {
-      opt.lgc_ms = std::strtoull(v.c_str(), nullptr, 10);
+      if (!cli::parse_number(v, &opt.lgc_ms, 0, cli::kMaxMs)) usage(argv[0], 2);
     } else if (parse_flag(argv[i], "--snapshot-ms", &v)) {
-      opt.snapshot_ms = std::strtoull(v.c_str(), nullptr, 10);
+      if (!cli::parse_number(v, &opt.snapshot_ms, 0, cli::kMaxMs)) usage(argv[0], 2);
     } else if (parse_flag(argv[i], "--dcda-ms", &v)) {
-      opt.dcda_ms = std::strtoull(v.c_str(), nullptr, 10);
+      if (!cli::parse_number(v, &opt.dcda_ms, 0, cli::kMaxMs)) usage(argv[0], 2);
     } else if (parse_flag(argv[i], "--quarantine-ms", &v)) {
-      opt.quarantine_ms = std::strtoull(v.c_str(), nullptr, 10);
+      if (!cli::parse_number(v, &opt.quarantine_ms, 0, cli::kMaxMs)) usage(argv[0], 2);
     } else if (parse_flag(argv[i], "--detect-timeout-ms", &v)) {
-      opt.detect_timeout_ms = std::strtoull(v.c_str(), nullptr, 10);
+      if (!cli::parse_number(v, &opt.detect_timeout_ms, 0, cli::kMaxMs)) usage(argv[0], 2);
     } else if (parse_flag(argv[i], "--peer-death-timeout-ms", &v)) {
-      opt.peer_death_timeout_ms = std::strtoull(v.c_str(), nullptr, 10);
+      if (!cli::parse_number(v, &opt.peer_death_timeout_ms, 0, cli::kMaxMs)) usage(argv[0], 2);
     } else if (parse_flag(argv[i], "--no-batching", &v)) {
       opt.batching = false;
     } else if (parse_flag(argv[i], "--no-snapshot-pipeline", &v)) {
       opt.snapshot_pipeline = false;
     } else if (parse_flag(argv[i], "--batch-flush-us", &v)) {
-      opt.batch_flush_us = std::strtoull(v.c_str(), nullptr, 10);
-      if (opt.batch_flush_us == 0) usage(argv[0], 2);
+      if (!cli::parse_number(v, &opt.batch_flush_us, 1)) usage(argv[0], 2);
     } else if (parse_flag(argv[i], "--admin-port", &v)) {
       opt.admin = true;
-      opt.admin_port = static_cast<std::uint16_t>(std::strtoul(v.c_str(), nullptr, 10));
+      if (!cli::parse_number(v, &opt.admin_port)) usage(argv[0], 2);
     } else if (parse_flag(argv[i], "--stats-interval-ms", &v)) {
-      opt.stats_interval_ms = std::strtoull(v.c_str(), nullptr, 10);
+      if (!cli::parse_number(v, &opt.stats_interval_ms, 0, cli::kMaxMs)) usage(argv[0], 2);
     } else if (parse_flag(argv[i], "--trace-file", &v)) {
       opt.trace_file = v;
     } else if (parse_flag(argv[i], "--verbose", &v)) {

@@ -6,7 +6,7 @@
 //
 //   adgc_sim [--procs=N] [--seed=S] [--loss=P] [--dup=P]
 //            [--steps=K] [--rounds=R] [--settle-ms=T]
-//            [--summarizer=bfs|scc] [--no-dcda] [--rmi-edges]
+//            [--no-dcda] [--rmi-edges]
 //            [--crash-every=R] [--verbose]
 //   adgc_sim --chaos [--seed=S] [--loss=P] [--dup=P]
 //   adgc_sim --compare-backoff [--seed=S] [--loss=P]
@@ -49,7 +49,6 @@ struct Options {
   int steps = 20;
   int rounds = 40;
   SimTime settle_ms = 30'000;
-  bool use_scc = true;
   bool dcda = true;
   bool rmi_edges = false;
   int crash_every = 0;  // 0 = no fault injection
@@ -71,12 +70,11 @@ using cli::parse_flag;
 constexpr cli::FlagSpec kWorkloadFlags[] = {
     {"--procs", "N", "number of simulated processes (default 4, min 2)"},
     {"--seed", "S", "RNG seed; runs are a pure function of it (default 1)"},
-    {"--loss", "P", "message-loss probability in [0,1) (default 0)"},
-    {"--dup", "P", "message-duplication probability in [0,1) (default 0)"},
+    {"--loss", "P", "message-loss probability in [0,1] (default 0)"},
+    {"--dup", "P", "message-duplication probability in [0,1] (default 0)"},
     {"--steps", "K", "mutator steps per round (default 20)"},
     {"--rounds", "R", "workload rounds before settling (default 40)"},
     {"--settle-ms", "T", "simulated settle time after mutation stops (default 30000)"},
-    {"--summarizer", "X", "snapshot summarizer: bfs or scc (default scc)"},
     {"--no-dcda", nullptr, "disable the cycle detector (acyclic DGC only)"},
     {"--rmi-edges", nullptr,
      "mutate references through RMI side effects; needs --loss=0\n"
@@ -168,47 +166,37 @@ Options parse(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string v;
     if (parse_flag(argv[i], "--procs", &v)) {
-      opt.procs = std::strtoull(v.c_str(), nullptr, 10);
+      if (!cli::parse_number(v, &opt.procs, 2)) usage(argv[0]);
     } else if (parse_flag(argv[i], "--seed", &v)) {
-      opt.seed = std::strtoull(v.c_str(), nullptr, 10);
+      if (!cli::parse_number(v, &opt.seed)) usage(argv[0]);
     } else if (parse_flag(argv[i], "--loss", &v)) {
-      opt.loss = std::strtod(v.c_str(), nullptr);
+      if (!cli::parse_number(v, &opt.loss, 0.0, 1.0)) usage(argv[0]);
     } else if (parse_flag(argv[i], "--dup", &v)) {
-      opt.dup = std::strtod(v.c_str(), nullptr);
+      if (!cli::parse_number(v, &opt.dup, 0.0, 1.0)) usage(argv[0]);
     } else if (parse_flag(argv[i], "--steps", &v)) {
-      opt.steps = std::atoi(v.c_str());
+      if (!cli::parse_number(v, &opt.steps)) usage(argv[0]);
     } else if (parse_flag(argv[i], "--rounds", &v)) {
-      opt.rounds = std::atoi(v.c_str());
+      if (!cli::parse_number(v, &opt.rounds)) usage(argv[0]);
     } else if (parse_flag(argv[i], "--settle-ms", &v)) {
-      opt.settle_ms = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (parse_flag(argv[i], "--summarizer", &v)) {
-      if (v == "bfs") {
-        opt.use_scc = false;
-      } else if (v == "scc") {
-        opt.use_scc = true;
-      } else {
-        usage(argv[0]);
-      }
+      if (!cli::parse_number(v, &opt.settle_ms, 0, cli::kMaxMs)) usage(argv[0]);
     } else if (parse_flag(argv[i], "--no-dcda", &v)) {
       opt.dcda = false;
     } else if (parse_flag(argv[i], "--crash-every", &v)) {
-      opt.crash_every = std::atoi(v.c_str());
+      if (!cli::parse_number(v, &opt.crash_every)) usage(argv[0]);
     } else if (parse_flag(argv[i], "--no-batching", &v)) {
       opt.batching = false;
     } else if (parse_flag(argv[i], "--batch-flush-us", &v)) {
-      opt.batch_flush_us = std::strtoull(v.c_str(), nullptr, 10);
-      if (opt.batch_flush_us == 0) usage(argv[0]);
+      if (!cli::parse_number(v, &opt.batch_flush_us, 1)) usage(argv[0]);
     } else if (parse_flag(argv[i], "--no-snapshot-pipeline", &v)) {
       opt.snapshot_pipeline = false;
     } else if (parse_flag(argv[i], "--snapshot-pipeline-latency-us", &v)) {
-      opt.snapshot_pipeline_latency_us = std::strtoull(v.c_str(), nullptr, 10);
-      if (opt.snapshot_pipeline_latency_us == 0) usage(argv[0]);
+      if (!cli::parse_number(v, &opt.snapshot_pipeline_latency_us, 1)) usage(argv[0]);
     } else if (parse_flag(argv[i], "--rmi-edges", &v)) {
       opt.rmi_edges = true;
     } else if (parse_flag(argv[i], "--chaos", &v)) {
       opt.chaos = true;
     } else if (parse_flag(argv[i], "--peer-death-timeout-ms", &v)) {
-      opt.peer_death_timeout_ms = std::strtoull(v.c_str(), nullptr, 10);
+      if (!cli::parse_number(v, &opt.peer_death_timeout_ms, 0, cli::kMaxMs)) usage(argv[0]);
     } else if (parse_flag(argv[i], "--compare-backoff", &v)) {
       opt.compare_backoff = true;
     } else if (parse_flag(argv[i], "--obs-dump", &v)) {
@@ -223,7 +211,6 @@ Options parse(int argc, char** argv) {
       usage(argv[0]);
     }
   }
-  if (opt.procs < 2 || opt.steps < 0 || opt.rounds < 0) usage(argv[0]);
   if (opt.rmi_edges && opt.loss > 0) {
     std::fprintf(stderr, "--rmi-edges requires --loss=0 (shadow oracle exactness)\n");
     std::exit(2);
@@ -297,8 +284,6 @@ int main(int argc, char** argv) {
   if (opt.snapshot_pipeline_latency_us > 0) {
     cfg.proc.snapshot_pipeline_latency_us = opt.snapshot_pipeline_latency_us;
   }
-  cfg.proc.summarizer = opt.use_scc ? ProcessConfig::SummarizerKind::kScc
-                                    : ProcessConfig::SummarizerKind::kBfs;
   std::filesystem::path crash_dir;
   if (opt.crash_every > 0) {
     crash_dir = std::filesystem::temp_directory_path() /

@@ -6,9 +6,13 @@
 // adgc_sim, adgc_node and adgc_mc).
 #pragma once
 
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <type_traits>
 
 namespace adgc::cli {
 
@@ -31,6 +35,27 @@ inline bool parse_flag(const char* arg, const char* name, std::string* value) {
   *value = arg + n + 1;
   return true;
 }
+
+/// Parses a whole non-negative decimal number (integral, or floating point
+/// for floating-point T) into *out. Rejects empty input, a sign or any other
+/// non-digit lead, trailing garbage and values outside [lo, hi]; *out is
+/// left untouched then. Every numeric flag goes through this, so a typo is a
+/// usage error instead of a silent zero or a wrapped negative.
+template <typename T>
+bool parse_number(const std::string& s, T* out, std::type_identity_t<T> lo = T{},
+                  std::type_identity_t<T> hi = std::numeric_limits<T>::max()) {
+  if (s.empty() || s[0] < '0' || s[0] > '9') return false;
+  T v{};
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc{} || ptr != end || v < lo || v > hi) return false;
+  *out = v;
+  return true;
+}
+
+/// Upper bound for millisecond flags: keeps their value in microseconds,
+/// and deadlines computed from them, within 64 bits.
+inline constexpr std::uint64_t kMaxMs = std::numeric_limits<std::uint64_t>::max() / 1000;
 
 /// One "[--flag=ARG]" token for the synopsis.
 inline std::string synopsis_token(const FlagSpec& f) {

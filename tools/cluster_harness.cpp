@@ -36,20 +36,12 @@
 #include <string>
 
 #include "src/sim/cluster_harness.h"
+#include "tools/cli_flags.h"
 
 namespace {
 
-bool parse_flag(const char* arg, const char* name, std::string* value) {
-  const std::size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) != 0) return false;
-  if (arg[n] == '\0') {
-    *value = "";
-    return true;
-  }
-  if (arg[n] != '=') return false;
-  *value = arg + n + 1;
-  return true;
-}
+namespace cli = adgc::cli;
+using cli::parse_flag;
 
 [[noreturn]] void usage(const char* argv0, int code) {
   std::fprintf(stderr,
@@ -72,9 +64,9 @@ int main(int argc, char** argv) {
     } else if (parse_flag(argv[i], "--node-bin", &v)) {
       opts.node_bin = v;
     } else if (parse_flag(argv[i], "--nodes", &v)) {
-      opts.nodes = std::strtoull(v.c_str(), nullptr, 10);
+      if (!cli::parse_number(v, &opts.nodes)) usage(argv[0], 2);
     } else if (parse_flag(argv[i], "--objs", &v)) {
-      opts.objs_per_node = std::strtoull(v.c_str(), nullptr, 10);
+      if (!cli::parse_number(v, &opts.objs_per_node)) usage(argv[0], 2);
     } else if (parse_flag(argv[i], "--no-kill", &v)) {
       opts.kill_restart = false;
     } else if (parse_flag(argv[i], "--kill-forever", &v)) {
@@ -82,16 +74,17 @@ int main(int argc, char** argv) {
     } else if (parse_flag(argv[i], "--zombie", &v)) {
       opts.zombie = true;
     } else if (parse_flag(argv[i], "--peer-death-timeout-ms", &v)) {
-      opts.peer_death_timeout_ms = std::strtoull(v.c_str(), nullptr, 10);
+      if (!cli::parse_number(v, &opts.peer_death_timeout_ms, 0, cli::kMaxMs)) {
+        usage(argv[0], 2);
+      }
     } else if (parse_flag(argv[i], "--timeout-ms", &v)) {
-      opts.timeout_ms = std::strtoull(v.c_str(), nullptr, 10);
+      if (!cli::parse_number(v, &opts.timeout_ms, 0, cli::kMaxMs)) usage(argv[0], 2);
     } else if (parse_flag(argv[i], "--state-dir", &v)) {
       opts.state_dir = v;
     } else if (parse_flag(argv[i], "--seed", &v)) {
-      opts.seed = std::strtoull(v.c_str(), nullptr, 10);
+      if (!cli::parse_number(v, &opts.seed)) usage(argv[0], 2);
     } else if (parse_flag(argv[i], "--admin-base-port", &v)) {
-      opts.admin_base_port =
-          static_cast<std::uint16_t>(std::strtoul(v.c_str(), nullptr, 10));
+      if (!cli::parse_number(v, &opts.admin_base_port)) usage(argv[0], 2);
     } else if (parse_flag(argv[i], "--obs-dump", &v)) {
       opts.obs_dump_dir = v;
     } else if (parse_flag(argv[i], "--verbose", &v)) {
