@@ -5,13 +5,18 @@
 // unscalable", and that it forces every process to keep per-detection
 // state. This bench quantifies both claims on identical garbage rings:
 // messages exchanged, request-chain depth, and intermediate state records.
+//
+// Writes BENCH_baseline_backtrace.json: one row per collector per table row,
+// gated by bench_diff on `processes` (identity), `messages` and `cdm_bytes`
+// (wire counts) and `collected` (cycles the collector reported). Exits 1 if
+// any collector reaches the wrong verdict.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <string>
 
 #include "bench/bench_common.h"
-#include "src/baseline/backtrace_detector.h"
-#include "src/baseline/global_trace.h"
+#include "src/baseline/baselines.h"
 #include "src/sim/scenarios.h"
 
 namespace adgc {
@@ -22,6 +27,8 @@ struct Comparison {
   std::uint64_t dcda_bytes = 0;
   std::uint64_t bt_msgs = 0;
   std::uint64_t bt_depth = 0;
+  std::uint64_t dcda_found = 0;
+  std::uint64_t bt_found = 0;
   bool dcda_ok = false;
   bool bt_ok = false;
 };
@@ -54,13 +61,14 @@ Comparison compare(std::size_t n_procs, std::size_t deps, std::uint64_t seed) {
     const Metrics after = rt.total_metrics();
     cmp.dcda_msgs = after.cdms_sent.get() - before.cdms_sent.get();
     cmp.dcda_bytes = after.cdm_bytes.get() - before.cdm_bytes.get();
-    cmp.dcda_ok = deps > 0
-                      ? after.detections_cycle_found.get() == 0  // deps are live
-                      : after.detections_cycle_found.get() == 1;
+    cmp.dcda_found = after.detections_cycle_found.get();
+    cmp.dcda_ok = deps > 0 ? cmp.dcda_found == 0  // deps are live
+                           : cmp.dcda_found == 1;
   }
   // --- Back-tracing run ---
   {
     Runtime rt(n_procs + deps, sim::manual_config(seed + 1));
+    Baselines bl(rt);
     const sim::Ring ring = sim::build_ring(rt, n_procs, 2, /*pin_first=*/false);
     for (std::size_t d = 0; d < deps; ++d) {
       const ProcessId pid = static_cast<ProcessId>(n_procs + d);
@@ -75,19 +83,19 @@ Comparison compare(std::size_t n_procs, std::size_t deps, std::uint64_t seed) {
       rt.proc(pid).take_snapshot();
     }
     rt.run_for(50'000);
-    const Metrics before = rt.total_metrics();
-    rt.proc(ring.heads[1].owner).start_backtrace(ring.ring_refs[0]);
+    const BaselineCounters before = bl.counters();
+    bl.backtracer(ring.heads[1].owner).start(ring.ring_refs[0]);
     rt.run_for(1'000'000);
-    const Metrics after = rt.total_metrics();
+    const BaselineCounters after = bl.counters();
     cmp.bt_msgs = (after.backtrace_requests.get() - before.backtrace_requests.get()) +
                   (after.backtrace_replies.get() - before.backtrace_replies.get());
     std::uint32_t depth = 0;
     for (ProcessId pid = 0; pid < rt.size(); ++pid) {
-      depth = std::max(depth, rt.proc(pid).backtracer().max_depth_seen());
+      depth = std::max(depth, bl.backtracer(pid).max_depth_seen());
     }
     cmp.bt_depth = depth;
-    cmp.bt_ok = deps > 0 ? after.backtrace_cycles_found.get() == 0
-                         : after.backtrace_cycles_found.get() == 1;
+    cmp.bt_found = after.backtrace_cycles_found.get();
+    cmp.bt_ok = deps > 0 ? cmp.bt_found == 0 : cmp.bt_found == 1;
   }
   return cmp;
 }
@@ -102,6 +110,29 @@ void BM_DcdaVsBacktrace(benchmark::State& state) {
 }
 BENCHMARK(BM_DcdaVsBacktrace)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 
+/// JSON series name of one collector's row, e.g. "dcda_n8_deps2".
+std::string series(const char* collector, std::size_t n, const char* what, std::size_t k) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%s_n%zu_%s%zu", collector, n, what, k);
+  return buf;
+}
+
+/// One JSON row each for the DCDA and the back-tracer of table row
+/// (n, what, k). Returns false if either reached the wrong verdict.
+bool report_pair(bench::JsonReport& report, std::size_t n, const char* what, std::size_t k,
+                 std::size_t procs, const Comparison& c) {
+  const auto p = static_cast<double>(procs);
+  report.add(series("dcda", n, what, k), {{"processes", p},
+                                          {"messages", static_cast<double>(c.dcda_msgs)},
+                                          {"cdm_bytes", static_cast<double>(c.dcda_bytes)},
+                                          {"collected", static_cast<double>(c.dcda_found)}});
+  report.add(series("backtrace", n, what, k), {{"processes", p},
+                                               {"messages", static_cast<double>(c.bt_msgs)},
+                                               {"depth", static_cast<double>(c.bt_depth)},
+                                               {"collected", static_cast<double>(c.bt_found)}});
+  return c.dcda_ok && c.bt_ok;
+}
+
 }  // namespace
 }  // namespace adgc
 
@@ -110,6 +141,8 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
 
   using namespace adgc;
+  bench::JsonReport report("baseline_backtrace");
+  bool verdicts_ok = true;
   bench::header(
       "§5 quantified — DCDA vs distributed back-tracing on identical rings\n"
       "(one probe each, manual snapshots; both must reach the same verdict)");
@@ -128,6 +161,7 @@ int main(int argc, char** argv) {
                                     static_cast<double>(c.dcda_msgs)
                               : 0.0,
                   c.dcda_ok ? "yes" : "NO", c.bt_ok ? "yes" : "NO");
+      verdicts_ok &= report_pair(report, n, "deps", deps, n + deps, c);
     }
   }
   std::printf("\nShape: the back-tracer needs ~2 messages per hop (request+reply)\n"
@@ -146,7 +180,8 @@ int main(int argc, char** argv) {
       // `bystanders` = processes with no part in the garbage at all.
       const Comparison c = compare(n, 0, 1300 + n);
       Runtime rt(n + bystanders, sim::manual_config(1400 + n + bystanders));
-      sim::build_ring(rt, n, 2, /*pin_first=*/false);
+      Baselines bl(rt);
+      const sim::Ring ring = sim::build_ring(rt, n, 2, /*pin_first=*/false);
       // Give bystanders some live local data.
       for (std::size_t b = 0; b < bystanders; ++b) {
         const auto pid = static_cast<ProcessId>(n + b);
@@ -157,11 +192,19 @@ int main(int argc, char** argv) {
       const Metrics before = rt.total_metrics();
       std::vector<ProcessId> members;
       for (ProcessId pid = 0; pid < rt.size(); ++pid) members.push_back(pid);
-      rt.proc(0).gtrace().start_epoch(members);
+      bl.gtrace(0).start_epoch(members);
       rt.run_for(2'000'000);
       const Metrics after = rt.total_metrics();
       const std::uint64_t gt_msgs =
           after.messages_sent.get() - before.messages_sent.get();
+      // The epoch must end and delete exactly the ring's scions: the one cycle.
+      const bool gt_collected = bl.gtrace(0).completed_epochs() == 1 &&
+                                bl.counters().gt_scions_deleted.get() == ring.ring_refs.size();
+      verdicts_ok &= report_pair(report, n, "extra", bystanders, n, c) && gt_collected;
+      report.add(series("gtrace", n, "extra", bystanders),
+                 {{"processes", static_cast<double>(n + bystanders)},
+                  {"messages", static_cast<double>(gt_msgs)},
+                  {"collected", gt_collected ? 1.0 : 0.0}});
       std::printf("%-4zu %-7zu %12llu %10llu %14llu\n", n, bystanders,
                   static_cast<unsigned long long>(c.dcda_msgs),
                   static_cast<unsigned long long>(c.bt_msgs),
@@ -171,5 +214,6 @@ int main(int argc, char** argv) {
   std::printf("\nShape: DCDA and back-trace costs depend only on the garbage\n"
               "structure; the global trace pays per *process in the world*\n"
               "(polls/status), growing with bystanders that own no garbage.\n");
-  return 0;
+  if (!verdicts_ok) std::fprintf(stderr, "a collector reached the wrong verdict\n");
+  return verdicts_ok ? 0 : 1;
 }

@@ -70,7 +70,7 @@ class JsonReport {
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
-    std::printf("wrote %s (%zu rows)\n", path.c_str(), rows_.size());
+    std::fprintf(stderr, "wrote %s (%zu rows)\n", path.c_str(), rows_.size());
   }
 
  private:

@@ -81,28 +81,6 @@ int main(int argc, char** argv) {
   cdm.target = {{make_ref_id(2, 2), 0}};
   write_file(dir, "cdm", encode_message(cdm));
 
-  BacktraceRequestMsg btq;
-  btq.trace_id = 9;
-  btq.req_id = 10;
-  btq.subject_ref = make_ref_id(0, 5);
-  btq.visited = {make_ref_id(0, 5), make_ref_id(1, 6)};
-  write_file(dir, "backtrace_request", encode_message(btq));
-
-  BacktraceReplyMsg btr;
-  btr.trace_id = 9;
-  btr.req_id = 10;
-  btr.reachable = true;
-  write_file(dir, "backtrace_reply", encode_message(btr));
-
-  GtStartMsg gst;
-  gst.epoch = 2;
-  write_file(dir, "gt_start", encode_message(gst));
-
-  GtStatusMsg gs;
-  gs.epoch = 2;
-  gs.marks_sent = 100;
-  write_file(dir, "gt_status", encode_message(gs));
-
   SnapshotData snap;
   snap.pid = 1;
   for (ObjectSeq i = 1; i <= 6; ++i) {

@@ -7,56 +7,52 @@
 
 namespace adgc {
 
-BacktraceDetector::BacktraceDetector(Process& proc, Metrics& metrics)
-    : proc_(proc), metrics_(metrics) {}
+BacktraceDetector::BacktraceDetector(Process& proc, BaselineCounters& counters)
+    : proc_(proc), counters_(counters) {}
 
 void BacktraceDetector::start(RefId candidate) {
-  const ScionEntry* scion = proc_.scions_.find(candidate);
+  const ScionEntry* scion = proc_.scions().find(candidate);
   if (!scion || scion->target_root_reachable) return;
 
   Trace tr;
   tr.trace_id = next_trace_++;
   tr.candidate = candidate;
   tr.start_ic = scion->ic;
-  tr.started_at = proc_.env_.now();
+  tr.started_at = proc_.now();
 
   const std::uint64_t req = next_req_++;
   traces_.emplace(req, tr);
+  request(scion->holder, {tr.trace_id, req, candidate, {candidate}, /*depth=*/1});
+}
 
-  BacktraceRequestMsg msg;
-  msg.trace_id = tr.trace_id;
-  msg.req_id = req;
-  msg.subject_ref = candidate;
-  msg.visited = {candidate};
-  msg.depth = 1;
-  metrics_.backtrace_requests.add();
-  proc_.send(scion->holder, msg);
+void BacktraceDetector::request(ProcessId dst, const BacktraceRequestMsg& msg) {
+  counters_.backtrace_requests.add();
+  proc_.send_encoded(dst, encode_baseline(msg));
+}
+
+void BacktraceDetector::reply(ProcessId dst, std::uint64_t trace_id, std::uint64_t req_id,
+                              bool reachable) {
+  counters_.backtrace_replies.add();
+  proc_.send_encoded(dst, encode_baseline(BacktraceReplyMsg{trace_id, req_id, reachable}));
 }
 
 void BacktraceDetector::on_request(ProcessId src, const BacktraceRequestMsg& msg) {
   max_depth_seen_ = std::max(max_depth_seen_, msg.depth);
-  auto reply = [&](bool reachable) {
-    BacktraceReplyMsg out;
-    out.trace_id = msg.trace_id;
-    out.req_id = msg.req_id;
-    out.reachable = reachable;
-    metrics_.backtrace_replies.add();
-    proc_.send(src, out);
-  };
+  auto answer = [&](bool reachable) { reply(src, msg.trace_id, msg.req_id, reachable); };
 
   const auto summary = proc_.current_summary();
   if (!summary) {
-    reply(true);  // cannot prove anything: conservatively "reachable"
+    answer(true);  // cannot prove anything: conservatively "reachable"
     return;
   }
   const StubSummary* stub = summary->stub(msg.subject_ref);
   if (!stub) {
     // Not in our snapshot: unknown state, stay conservative.
-    reply(true);
+    answer(true);
     return;
   }
   if (stub->local_reach) {
-    reply(true);
+    answer(true);
     return;
   }
   // Recurse into every scion converging on this stub that the trace has not
@@ -69,7 +65,7 @@ void BacktraceDetector::on_request(ProcessId src, const BacktraceRequestMsg& msg
     }
   }
   if (deps.empty()) {
-    reply(false);
+    answer(false);
     return;
   }
 
@@ -78,7 +74,7 @@ void BacktraceDetector::on_request(ProcessId src, const BacktraceRequestMsg& msg
   node.trace_id = msg.trace_id;
   node.parent_req = msg.req_id;
   node.reply_to = src;
-  node.created_at = proc_.env_.now();
+  node.created_at = proc_.now();
 
   for (RefId d : deps) {
     const ScionSummary* dep = summary->scion(d);
@@ -88,18 +84,12 @@ void BacktraceDetector::on_request(ProcessId src, const BacktraceRequestMsg& msg
     child_to_node_.emplace(child, key);
     ++node.pending;
 
-    BacktraceRequestMsg fwd;
-    fwd.trace_id = msg.trace_id;
-    fwd.req_id = child;
-    fwd.subject_ref = d;
-    fwd.visited = msg.visited;
+    BacktraceRequestMsg fwd{msg.trace_id, child, d, msg.visited, msg.depth + 1};
     fwd.visited.push_back(d);
-    fwd.depth = msg.depth + 1;
-    metrics_.backtrace_requests.add();
-    proc_.send(dep->holder, fwd);
+    request(dep->holder, fwd);
   }
   if (node.pending == 0) {
-    reply(false);
+    answer(false);
     return;
   }
   nodes_.emplace(key, std::move(node));
@@ -119,23 +109,14 @@ void BacktraceDetector::on_reply(ProcessId /*src*/, const BacktraceReplyMsg& msg
   if (nit == nodes_.end()) return;
   Node& node = nit->second;
   if (msg.reachable) {
-    reply_up(node, true);  // short-circuit: one live path suffices
+    reply(node.reply_to, node.trace_id, node.parent_req, true);  // one live path suffices
     drop_node(key);
     return;
   }
   if (--node.pending == 0) {
-    reply_up(node, false);
+    reply(node.reply_to, node.trace_id, node.parent_req, false);
     drop_node(key);
   }
-}
-
-void BacktraceDetector::reply_up(const Node& node, bool reachable) {
-  BacktraceReplyMsg out;
-  out.trace_id = node.trace_id;
-  out.req_id = node.parent_req;
-  out.reachable = reachable;
-  metrics_.backtrace_replies.add();
-  proc_.send(node.reply_to, out);
 }
 
 void BacktraceDetector::drop_node(std::uint64_t key) {
@@ -154,12 +135,12 @@ void BacktraceDetector::finish_trace(std::uint64_t req_id, bool reachable) {
 
   // Trace proved the candidate unreachable; revalidate the live scion
   // before acting (simplified stand-in for the baseline's transfer barrier).
-  ScionEntry* scion = proc_.scions_.find(tr.candidate);
+  const ScionEntry* scion = proc_.scions().find(tr.candidate);
   if (!scion || scion->ic != tr.start_ic || scion->target_root_reachable) return;
   ADGC_INFO("P" << proc_.id() << " backtrace deletes scion " << ref_to_string(tr.candidate));
-  proc_.scions_.erase(tr.candidate);
-  metrics_.backtrace_cycles_found.add();
-  metrics_.scions_deleted_cyclic.add();
+  proc_.drop_scion(tr.candidate);
+  counters_.backtrace_cycles_found.add();
+  proc_.metrics().scions_deleted_cyclic.add();
 }
 
 void BacktraceDetector::expire(SimTime now, SimTime max_age) {

@@ -11,17 +11,16 @@
 //
 // Used for the comparison benches (messages, chain depth, state held); it
 // reuses each process's summarized snapshot so the comparison with the DCDA
-// is apples-to-apples.
+// is apples-to-apples. Attached to a process by Baselines (baselines.h).
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <vector>
 
+#include "src/baseline/protocol.h"
 #include "src/common/config.h"
 #include "src/common/ids.h"
-#include "src/common/metrics.h"
-#include "src/net/message.h"
 
 namespace adgc {
 
@@ -29,7 +28,7 @@ class Process;
 
 class BacktraceDetector {
  public:
-  BacktraceDetector(Process& proc, Metrics& metrics);
+  BacktraceDetector(Process& proc, BaselineCounters& counters);
 
   /// Origin side: start a trace on a suspect scion this process owns.
   void start(RefId candidate);
@@ -59,12 +58,13 @@ class BacktraceDetector {
     SimTime created_at = 0;
   };
 
-  void reply_up(const Node& node, bool reachable);
+  void request(ProcessId dst, const BacktraceRequestMsg& msg);
+  void reply(ProcessId dst, std::uint64_t trace_id, std::uint64_t req_id, bool reachable);
   void drop_node(std::uint64_t key);
   void finish_trace(std::uint64_t req_id, bool reachable);
 
   Process& proc_;
-  Metrics& metrics_;
+  BaselineCounters& counters_;
   std::uint64_t next_trace_ = 1;
   std::uint64_t next_req_ = 1;
   std::map<std::uint64_t, Trace> traces_;        // keyed by root req_id

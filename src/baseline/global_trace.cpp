@@ -8,8 +8,8 @@
 
 namespace adgc {
 
-GlobalTraceCollector::GlobalTraceCollector(Process& proc, Metrics& metrics)
-    : proc_(proc), metrics_(metrics) {}
+GlobalTraceCollector::GlobalTraceCollector(Process& proc, BaselineCounters& counters)
+    : proc_(proc), counters_(counters) {}
 
 bool GlobalTraceCollector::start_epoch(std::vector<ProcessId> members,
                                        SimTime poll_interval_us) {
@@ -25,25 +25,21 @@ bool GlobalTraceCollector::start_epoch(std::vector<ProcessId> members,
   prev_sent_total_ = ~0ULL;
   prev_processed_total_ = ~0ULL;
 
-  GtStartMsg msg;
-  msg.epoch = next_epoch_++;
-  msg.epoch_start = proc_.env_.now();
-  metrics_.gt_epochs_started.add();
-  for (ProcessId pid : members_) proc_.send(pid, msg);
+  const GtStartMsg msg{.epoch = next_epoch_++, .epoch_start = proc_.now()};
+  for (ProcessId pid : members_) proc_.send_encoded(pid, encode_baseline(msg));
 
   const SimTime interval = poll_interval_us_;
-  proc_.env_.schedule(interval, [this] { send_poll(); });
+  proc_.env().schedule(interval, [this] { send_poll(); });
   return true;
 }
 
 void GlobalTraceCollector::send_poll() {
   if (!coordinating_) return;
   poll_replies_.clear();
-  GtPollMsg msg;
-  msg.epoch = epoch_;  // coordinator participates, so epoch_ is current
-  msg.poll_seq = ++poll_seq_;
-  for (ProcessId pid : members_) proc_.send(pid, msg);
-  proc_.env_.schedule(poll_interval_us_, [this] { send_poll(); });
+  // The coordinator participates, so epoch_ is current.
+  const GtPollMsg msg{.epoch = epoch_, .poll_seq = ++poll_seq_};
+  for (ProcessId pid : members_) proc_.send_encoded(pid, encode_baseline(msg));
+  proc_.env().schedule(poll_interval_us_, [this] { send_poll(); });
 }
 
 void GlobalTraceCollector::on_start(ProcessId /*src*/, const GtStartMsg& msg) {
@@ -55,34 +51,30 @@ void GlobalTraceCollector::on_start(ProcessId /*src*/, const GtStartMsg& msg) {
   marked_scions_.clear();
   sent_ = 0;
   processed_ = 0;
-  for (ObjectSeq root : proc_.heap_.roots()) local_mark(root);
+  for (ObjectSeq root : proc_.heap().roots()) local_mark(root);
 }
 
 void GlobalTraceCollector::local_mark(ObjectSeq seed) {
   std::deque<ObjectSeq> frontier;
-  if (proc_.heap_.exists(seed) && marked_objects_.insert(seed).second) {
+  if (proc_.heap().exists(seed) && marked_objects_.insert(seed).second) {
     frontier.push_back(seed);
   }
   while (!frontier.empty()) {
     const ObjectSeq cur = frontier.front();
     frontier.pop_front();
-    const HeapObject* obj = proc_.heap_.find(cur);
+    const HeapObject* obj = proc_.heap().find(cur);
     if (!obj) continue;
     for (ObjectSeq next : obj->local_fields) {
-      if (proc_.heap_.exists(next) && marked_objects_.insert(next).second) {
+      if (proc_.heap().exists(next) && marked_objects_.insert(next).second) {
         frontier.push_back(next);
       }
     }
     for (RefId ref : obj->remote_fields) {
       if (!marked_stubs_.insert(ref).second) continue;
-      const StubEntry* stub = proc_.stubs_.find(ref);
+      const StubEntry* stub = proc_.stubs().find(ref);
       if (!stub) continue;
-      GtMarkMsg mark;
-      mark.epoch = epoch_;
-      mark.ref = ref;
       ++sent_;
-      metrics_.gt_marks_sent.add();
-      proc_.send(stub->target.owner, mark);
+      proc_.send_encoded(stub->target.owner, encode_baseline(GtMarkMsg{epoch_, ref}));
     }
   }
 }
@@ -91,20 +83,15 @@ void GlobalTraceCollector::on_mark(ProcessId /*src*/, const GtMarkMsg& msg) {
   if (!participating_ || msg.epoch != epoch_) return;  // stale epoch
   ++processed_;
   if (!marked_scions_.insert(msg.ref).second) return;  // already marked
-  const ScionEntry* scion = proc_.scions_.find(msg.ref);
+  const ScionEntry* scion = proc_.scions().find(msg.ref);
   if (!scion) return;
   local_mark(scion->target);
 }
 
 void GlobalTraceCollector::on_poll(ProcessId src, const GtPollMsg& msg) {
   if (!participating_ || msg.epoch != epoch_) return;
-  GtStatusMsg status;
-  status.epoch = epoch_;
-  status.poll_seq = msg.poll_seq;
-  status.marks_sent = sent_;
-  status.marks_processed = processed_;
-  metrics_.gt_status_msgs.add();
-  proc_.send(src, status);
+  const GtStatusMsg status{epoch_, msg.poll_seq, sent_, processed_};
+  proc_.send_encoded(src, encode_baseline(status));
 }
 
 void GlobalTraceCollector::on_status(ProcessId src, const GtStatusMsg& msg) {
@@ -127,9 +114,8 @@ void GlobalTraceCollector::on_status(ProcessId src, const GtStatusMsg& msg) {
   // Terminated: the global trace is complete.
   coordinating_ = false;
   ++completed_;
-  GtFinishMsg fin;
-  fin.epoch = epoch_;
-  for (ProcessId pid : members_) proc_.send(pid, fin);
+  const GtFinishMsg fin{epoch_};
+  for (ProcessId pid : members_) proc_.send_encoded(pid, encode_baseline(fin));
   ADGC_INFO("P" << proc_.id() << " global trace epoch " << epoch_ << " terminated ("
                 << sent_total << " marks)");
 }
@@ -138,7 +124,7 @@ void GlobalTraceCollector::on_finish(ProcessId /*src*/, const GtFinishMsg& msg) 
   if (!participating_ || msg.epoch != epoch_) return;
   participating_ = false;
   std::vector<RefId> doomed;
-  for (const auto& [ref, scion] : proc_.scions_) {
+  for (const auto& [ref, scion] : proc_.scions()) {
     if (marked_scions_.contains(ref)) continue;
     // Conservative mutation guards: anything created or invoked during the
     // epoch survives until the next epoch.
@@ -147,8 +133,8 @@ void GlobalTraceCollector::on_finish(ProcessId /*src*/, const GtFinishMsg& msg) 
     doomed.push_back(ref);
   }
   for (RefId ref : doomed) {
-    proc_.scions_.erase(ref);
-    metrics_.gt_scions_deleted.add();
+    proc_.drop_scion(ref);
+    counters_.gt_scions_deleted.add();
   }
   if (!doomed.empty()) {
     ADGC_DEBUG("P" << proc_.id() << " global trace deleted " << doomed.size()

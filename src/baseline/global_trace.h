@@ -13,7 +13,8 @@
 // benches/tests): requires every member to participate — one slow or
 // partitioned process stalls the world; mutation during an epoch is handled
 // conservatively (scions touched or created after the epoch start survive),
-// not precisely; message loss stalls the epoch (no retries).
+// not precisely; message loss stalls the epoch (no retries). Attached to a
+// process by Baselines (baselines.h).
 #pragma once
 
 #include <cstdint>
@@ -21,10 +22,9 @@
 #include <unordered_set>
 #include <vector>
 
+#include "src/baseline/protocol.h"
 #include "src/common/config.h"
 #include "src/common/ids.h"
-#include "src/common/metrics.h"
-#include "src/net/message.h"
 
 namespace adgc {
 
@@ -32,7 +32,7 @@ class Process;
 
 class GlobalTraceCollector {
  public:
-  GlobalTraceCollector(Process& proc, Metrics& metrics);
+  GlobalTraceCollector(Process& proc, BaselineCounters& counters);
 
   /// Coordinator side: starts an epoch over `members` (should include the
   /// coordinator itself). Returns false if one is already running.
@@ -45,7 +45,7 @@ class GlobalTraceCollector {
   /// partitioned away — the scenario this baseline cannot survive).
   void abort_epoch() { coordinating_ = false; }
 
-  // Message handlers (wired from Process::deliver).
+  // Message handlers (wired by Baselines).
   void on_start(ProcessId src, const GtStartMsg& msg);
   void on_mark(ProcessId src, const GtMarkMsg& msg);
   void on_poll(ProcessId src, const GtPollMsg& msg);
@@ -57,7 +57,7 @@ class GlobalTraceCollector {
   void send_poll();
 
   Process& proc_;
-  Metrics& metrics_;
+  BaselineCounters& counters_;
 
   // --- participant state (one epoch at a time) ---
   std::uint64_t epoch_ = 0;

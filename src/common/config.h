@@ -48,14 +48,9 @@ struct ProcessConfig {
   /// Cap on the per-candidate detection re-launch backoff (base is
   /// `dcda_scan_period_us`, doubled per consecutive timeout).
   SimTime detection_backoff_cap_us = 4'000'000;
-  /// A peer is suspected after this many retry timers fired unanswered...
+  /// A peer is suspected after this many retry timers fired unanswered, or
+  /// by the phi-accrual rule (see src/net/peer_health.h).
   std::uint32_t suspect_after_failures = 3;
-  /// ...or, phi-accrual style, when it has been silent for more than
-  /// `suspect_phi` × smoothed-RTT while messages to it are outstanding.
-  double suspect_phi = 16.0;
-  /// Lower bound on the RTT used by the accrual test (guards against a few
-  /// lucky fast samples making the detector hair-triggered).
-  SimTime suspect_rtt_floor_us = 2'000;
 
   // --- permanent-failure eviction ---
   /// Escalates sustained suspicion into committed death: a peer that has

@@ -27,6 +27,9 @@ class Counter {
   void add(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
   std::uint64_t get() const { return v_.load(std::memory_order_relaxed); }
   void reset() { v_.store(0, std::memory_order_relaxed); }
+  /// Gauge update: one store, so a concurrent reader sees the old or the
+  /// new value, never an intermediate.
+  void set(std::uint64_t v) { v_.store(v, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> v_{0};
@@ -80,15 +83,6 @@ class Counter {
   X(cdms_sent)                                                                               \
   X(cdms_received)                                                                           \
   X(cdm_bytes)                                                                               \
-  /* Baseline (back-tracing) detector. */                                                    \
-  X(backtrace_requests)                                                                      \
-  X(backtrace_replies)                                                                       \
-  X(backtrace_cycles_found)                                                                  \
-  /* Baseline (global trace) collector. */                                                   \
-  X(gt_epochs_started)                                                                       \
-  X(gt_marks_sent)                                                                           \
-  X(gt_status_msgs)                                                                          \
-  X(gt_scions_deleted)                                                                       \
   /* Network. */                                                                             \
   X(messages_sent)                                                                           \
   X(messages_delivered)                                                                      \

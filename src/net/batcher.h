@@ -53,8 +53,7 @@ class Batcher {
   /// True for message kinds that may ride in a batch. Invocations and
   /// replies are latency-critical; AddScion requests gate invocation sends
   /// (their retry path tolerates delay but gains nothing from batching —
-  /// each retry is a lone message); the baseline collectors are kept on
-  /// their own wire behavior so bench comparisons stay honest.
+  /// each retry is a lone message).
   static bool batchable(const MessagePayload& msg);
 
   /// Queues `msg` toward `dst` if batching is on and the kind is batchable.

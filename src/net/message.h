@@ -113,72 +113,6 @@ struct CdmMsg {
   friend bool operator==(const CdmMsg&, const CdmMsg&) = default;
 };
 
-/// Baseline (Maheshwari-Liskov style) distributed back-tracing request:
-/// "is the object behind scion `scion_ref` reachable, other than through the
-/// path already visited?". Synchronous chains of these model the related
-/// work's remote-procedure-call recursion.
-struct BacktraceRequestMsg {
-  std::uint64_t trace_id = 0;
-  std::uint64_t req_id = 0;     // allocated by the requester; echoed in reply
-  RefId subject_ref = kNoRef;   // stub at the receiver to examine
-  std::vector<RefId> visited;   // references already on the back-trace path
-  std::uint32_t depth = 0;
-
-  friend bool operator==(const BacktraceRequestMsg&, const BacktraceRequestMsg&) = default;
-};
-
-struct BacktraceReplyMsg {
-  std::uint64_t trace_id = 0;
-  std::uint64_t req_id = 0;
-  bool reachable = false;  // some local root reaches the subject
-
-  friend bool operator==(const BacktraceReplyMsg&, const BacktraceReplyMsg&) = default;
-};
-
-// --- Global-trace baseline (Lang/Queinnec/Piquer-style "GC the world") ---
-// A coordinator starts synchronized epochs; marks propagate along remote
-// references; a counting-based termination detection (sent == processed,
-// stable across two polls) ends the epoch; unmarked scions are collected.
-// The whole point of carrying this baseline: it needs EVERY process to
-// participate and synchronize — the cost the paper's DCDA avoids.
-
-struct GtStartMsg {
-  std::uint64_t epoch = 0;
-  std::uint64_t epoch_start = 0;  // coordinator clock (SimTime)
-
-  friend bool operator==(const GtStartMsg&, const GtStartMsg&) = default;
-};
-
-/// Mark request: "the object behind scion `ref` is globally reachable".
-struct GtMarkMsg {
-  std::uint64_t epoch = 0;
-  RefId ref = kNoRef;
-
-  friend bool operator==(const GtMarkMsg&, const GtMarkMsg&) = default;
-};
-
-struct GtPollMsg {
-  std::uint64_t epoch = 0;
-  std::uint64_t poll_seq = 0;
-
-  friend bool operator==(const GtPollMsg&, const GtPollMsg&) = default;
-};
-
-struct GtStatusMsg {
-  std::uint64_t epoch = 0;
-  std::uint64_t poll_seq = 0;
-  std::uint64_t marks_sent = 0;
-  std::uint64_t marks_processed = 0;
-
-  friend bool operator==(const GtStatusMsg&, const GtStatusMsg&) = default;
-};
-
-struct GtFinishMsg {
-  std::uint64_t epoch = 0;
-
-  friend bool operator==(const GtFinishMsg&, const GtFinishMsg&) = default;
-};
-
 /// A coalesced per-peer batch of control messages (CDMs, NewSetStubs,
 /// AddScion acks). Items are complete encoded MessagePayloads, each carried
 /// behind a u32 length prefix; a batch may never contain another batch.
@@ -218,9 +152,7 @@ struct NssSolicitMsg {
 
 using MessagePayload =
     std::variant<InvokeMsg, ReplyMsg, NewSetStubsMsg, AddScionMsg, AddScionAckMsg,
-                 CdmMsg, BacktraceRequestMsg, BacktraceReplyMsg, GtStartMsg, GtMarkMsg,
-                 GtPollMsg, GtStatusMsg, GtFinishMsg, BatchMsg, EvictedNackMsg,
-                 NssSolicitMsg>;
+                 CdmMsg, BatchMsg, EvictedNackMsg, NssSolicitMsg>;
 
 /// On-wire type tag: the first byte of encode_message() output. Exposed so
 /// transport-level code (the TCP write queue's priority shedding) can
@@ -232,17 +164,20 @@ enum class MessageTag : std::uint8_t {
   kAddScion = 4,
   kAddScionAck = 5,
   kCdm = 6,
-  kBacktraceRequest = 7,
-  kBacktraceReply = 8,
-  kGtStart = 9,
-  kGtMark = 10,
-  kGtPoll = 11,
-  kGtStatus = 12,
-  kGtFinish = 13,
   kBatch = 14,
   kEvictedNack = 15,
   kNssSolicit = 16,
 };
+
+/// Tags left free for message kinds a bench or test attaches (the §5
+/// comparison collectors, src/baseline): Process::deliver hands them to its
+/// reserved handler, and decode_message rejects them as unknown.
+struct TagRange {
+  std::uint8_t first;
+  std::uint8_t last;
+  constexpr bool contains(std::uint8_t tag) const { return tag >= first && tag <= last; }
+};
+inline constexpr TagRange kReservedTags{7, 13};
 
 /// A message in flight.
 ///

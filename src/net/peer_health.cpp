@@ -78,10 +78,9 @@ bool PeerHealthTracker::compute_suspected(const Peer& p, SimTime now) const {
   if (p.last_heard == 0) return false;
   const SimTime baseline = std::max(p.last_heard, p.window_start);
   if (baseline == 0 || now <= baseline) return false;
-  const double floor_us = static_cast<double>(std::max<SimTime>(cfg_.suspect_rtt_floor_us, 1));
-  const double srtt = std::max(p.srtt_us, floor_us);
+  const double srtt = std::max(p.srtt_us, static_cast<double>(kSuspectRttFloorUs));
   const double silence = static_cast<double>(now - baseline);
-  return silence > cfg_.suspect_phi * srtt;
+  return silence > kSuspectPhi * srtt;
 }
 
 bool PeerHealthTracker::suspected(ProcessId peer, SimTime now) {
@@ -102,8 +101,7 @@ double PeerHealthTracker::phi(ProcessId peer, SimTime now) const {
   if (!p || p->outstanding == 0 || p->last_heard == 0) return 0.0;
   const SimTime baseline = std::max(p->last_heard, p->window_start);
   if (baseline == 0 || now <= baseline) return 0.0;
-  const double floor_us = static_cast<double>(std::max<SimTime>(cfg_.suspect_rtt_floor_us, 1));
-  const double srtt = std::max(p->srtt_us, floor_us);
+  const double srtt = std::max(p->srtt_us, static_cast<double>(kSuspectRttFloorUs));
   return static_cast<double>(now - baseline) / srtt;
 }
 

@@ -9,7 +9,8 @@
 //   suspected(peer)  ⇔  consecutive_failures ≥ suspect_after_failures
 //                    ∨  (outstanding > 0 ∧ silence > phi · max(srtt, floor))
 //
-// where `silence` is the time since the peer was last heard from and
+// where phi and floor are kSuspectPhi and kSuspectRttFloorUs below,
+// `silence` is the time since the peer was last heard from and
 // `outstanding` counts messages sent to the peer since then (so an idle but
 // healthy peer is never suspected — accrual only runs while we are actually
 // trying to talk to it).
@@ -40,6 +41,13 @@ namespace adgc {
 /// retries across processes (synchronized retry bursts are exactly what a
 /// congested link does not need).
 SimTime backoff_delay(SimTime base_us, SimTime cap_us, int attempt, Rng& rng);
+
+/// Accrual threshold: a contacted peer is suspected once it has been silent
+/// for more than this many smoothed RTTs.
+inline constexpr double kSuspectPhi = 16.0;
+/// Lower bound on the RTT the accrual test uses (guards against a few lucky
+/// fast samples making the detector hair-triggered).
+inline constexpr SimTime kSuspectRttFloorUs = 2'000;
 
 class PeerHealthTracker {
  public:

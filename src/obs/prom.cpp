@@ -9,8 +9,8 @@ namespace adgc::obs {
 
 namespace {
 
-/// Counters that are semantically gauges (sampled table sizes, reset+add
-/// each LGC): exported as `gauge` and without the `_total` suffix.
+/// Counters that are semantically gauges (sampled table sizes, set each
+/// LGC): exported as `gauge` and without the `_total` suffix.
 const std::set<std::string_view>& gauge_names() {
   static const std::set<std::string_view> kGauges = {"peer_health_slots"};
   return kGauges;

@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "src/baseline/backtrace_detector.h"
-#include "src/baseline/global_trace.h"
 #include "src/dcda/candidates.h"
 #include "src/lgc/mark_sweep.h"
 #include "src/snapshot/snapshot.h"
@@ -53,8 +51,6 @@ Process::Process(ProcessId pid, const ProcessConfig& cfg, Env& env, Incarnation 
   };
   detector_ = std::make_unique<Detector>(pid_, cfg_, env_.metrics(), std::move(hooks));
   detector_->set_trace(env_.trace());
-  backtracer_ = std::make_unique<BacktraceDetector>(*this, env_.metrics());
-  gtrace_ = std::make_unique<GlobalTraceCollector>(*this, env_.metrics());
   if (!cfg_.snapshot_dir.empty()) {
     store_ = std::make_unique<SnapshotStore>(cfg_.snapshot_dir, cfg_.snapshot_retain);
   }
@@ -123,6 +119,12 @@ void Process::send(ProcessId dst, const MessagePayload& msg) {
   if (batcher_->offer(dst, msg)) return;
   batcher_->flush_peer(dst, Batcher::FlushReason::kPriority);
   env_.send(dst, msg);
+}
+
+void Process::send_encoded(ProcessId dst, std::vector<std::byte> bytes) {
+  peer_health_.on_send(dst, env_.now());
+  batcher_->flush_peer(dst, Batcher::FlushReason::kPriority);
+  env_.send_encoded(dst, std::move(bytes));
 }
 
 // ---------------------------------------------------------------- mutator
@@ -387,6 +389,11 @@ void Process::deliver(const Envelope& envelope) {
   }
   // Any inbound traffic is a liveness signal for the sending peer.
   peer_health_.on_heard(envelope.src, env_.now());
+  if (reserved_handler_ && !envelope.bytes.empty() &&
+      kReservedTags.contains(static_cast<std::uint8_t>(envelope.bytes[0]))) {
+    reserved_handler_(src, envelope.bytes);
+    return;
+  }
   MessagePayload payload;
   try {
     payload = decode_message(envelope.bytes);
@@ -414,20 +421,6 @@ void Process::dispatch(ProcessId src, const MessagePayload& payload) {
           on_add_scion_ack(src, msg);
         } else if constexpr (std::is_same_v<T, CdmMsg>) {
           on_cdm(src, msg);
-        } else if constexpr (std::is_same_v<T, BacktraceRequestMsg>) {
-          backtracer_->on_request(src, msg);
-        } else if constexpr (std::is_same_v<T, BacktraceReplyMsg>) {
-          backtracer_->on_reply(src, msg);
-        } else if constexpr (std::is_same_v<T, GtStartMsg>) {
-          gtrace_->on_start(src, msg);
-        } else if constexpr (std::is_same_v<T, GtMarkMsg>) {
-          gtrace_->on_mark(src, msg);
-        } else if constexpr (std::is_same_v<T, GtPollMsg>) {
-          gtrace_->on_poll(src, msg);
-        } else if constexpr (std::is_same_v<T, GtStatusMsg>) {
-          gtrace_->on_status(src, msg);
-        } else if constexpr (std::is_same_v<T, GtFinishMsg>) {
-          gtrace_->on_finish(src, msg);
         } else if constexpr (std::is_same_v<T, BatchMsg>) {
           on_batch(src, msg);
         } else if constexpr (std::is_same_v<T, EvictedNackMsg>) {
@@ -593,6 +586,12 @@ void Process::on_cdm(ProcessId /*src*/, const CdmMsg& msg) {
   detector_->on_cdm(msg, env_.now());
 }
 
+void Process::drop_scion(RefId ref) {
+  scions_.erase(ref);
+  candidate_failures_.erase(ref);
+  candidate_not_before_.erase(ref);
+}
+
 void Process::on_cycle_found(DetectionId id, RefId candidate, std::uint64_t expected_ic) {
   detector_->finish(id, env_.now());
   ScionEntry* scion = scions_.find(candidate);
@@ -611,9 +610,7 @@ void Process::on_cycle_found(DetectionId id, RefId candidate, std::uint64_t expe
   }
   ADGC_INFO("P" << pid_ << " deleting scion " << ref_to_string(candidate)
                 << " (distributed cycle)");
-  scions_.erase(candidate);
-  candidate_failures_.erase(candidate);
-  candidate_not_before_.erase(candidate);
+  drop_scion(candidate);
   metrics().detections_cycle_found.add();
   metrics().scions_deleted_cyclic.add();
 }
@@ -630,9 +627,8 @@ void Process::run_lgc() {
   if (cfg_.dgc_enabled && cfg_.peer_death_timeout_us > 0) maybe_evict_peers();
   const std::size_t pruned = peer_health_.prune_idle(env_.now(), kPeerHealthIdlePruneUs);
   if (pruned > 0) metrics().peer_health_slots_pruned.add(pruned);
-  // Gauge semantics via reset+add: the table size as of this LGC.
-  metrics().peer_health_slots.reset();
-  metrics().peer_health_slots.add(peer_health_.size());
+  // Gauge: the table size as of this LGC.
+  metrics().peer_health_slots.set(peer_health_.size());
   if (cfg_.dgc_enabled) {
     // Expire never-confirmed scions whose reference demonstrably never
     // reached its holder (delivery lost; nobody will ever account for it).
@@ -913,9 +909,7 @@ void Process::evict_peer(ProcessId peer) {
   //    AddScion handshake (minting new RefIds), so dropping these lets the
   //    mark-sweep below reclaim everything only the dead peer kept alive.
   for (RefId ref : scions_.refs_from_holder(peer)) {
-    scions_.erase(ref);
-    candidate_failures_.erase(ref);
-    candidate_not_before_.erase(ref);
+    drop_scion(ref);
     metrics().eviction_scions_dropped.add();
   }
   scions_.forget_holder(peer);
@@ -995,7 +989,6 @@ void Process::run_dcda_scan() {
   for (const auto& rec : detector_->expire(env_.now())) {
     note_detection_timeout(rec.candidate);
   }
-  backtracer_->expire(env_.now(), cfg_.detection_timeout_us);
   CandidateHealthView health;
   health.peers = &peer_health_;
   health.not_before = &candidate_not_before_;
@@ -1016,7 +1009,5 @@ void Process::run_dcda_scan() {
     }
   }
 }
-
-void Process::start_backtrace(RefId candidate) { backtracer_->start(candidate); }
 
 }  // namespace adgc

@@ -7,8 +7,10 @@
 //   * the DGC tables (stubs/scions) and the reference-listing protocol,
 //   * the local mark-sweep GC,
 //   * periodic snapshotting + summarization,
-//   * the DCDA detector,
-//   * the baseline back-tracing detector (for comparison benches).
+//   * the DCDA detector.
+// Message tags in kReservedTags are not part of that protocol: deliver()
+// hands them to a handler a bench or test registered (the §5 comparison
+// collectors in src/baseline attach this way) and drops them otherwise.
 //
 // Reference export model (stands in for Rotor/.NET remoting interception):
 //   * exporting one of our own objects creates the scion locally, then hands
@@ -25,6 +27,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "src/common/config.h"
@@ -45,9 +48,6 @@
 #include "src/snapshot/summarizer.h"
 
 namespace adgc {
-
-class BacktraceDetector;
-class GlobalTraceCollector;
 
 /// An argument of a remote invocation: either one of our own objects (to be
 /// exported) or a reference we hold (to be re-exported).
@@ -173,11 +173,20 @@ class Process {
     peer_evicted_hook_ = std::move(fn);
   }
 
-  /// Starts a baseline back-tracing detection on a scion (bench/tests).
-  void start_backtrace(RefId candidate);
+  /// Deletes the scion `ref` and its candidate backoff state; the next LGC
+  /// reclaims whatever only it kept alive. No-op for an unknown ref.
+  void drop_scion(RefId ref);
 
   // ---------- message entry point ----------
   void deliver(const Envelope& env);
+
+  /// Receives every delivered envelope whose tag is in kReservedTags
+  /// (benches and tests only; production never registers one).
+  using ReservedHandler = std::function<void(ProcessId src, std::span<const std::byte> bytes)>;
+  void set_reserved_handler(ReservedHandler fn) { reserved_handler_ = std::move(fn); }
+  /// Sends an already-encoded message the way send() sends an unbatchable
+  /// kind: flushes the open batch toward `dst` first, so order is kept.
+  void send_encoded(ProcessId dst, std::vector<std::byte> bytes);
 
   /// Flushes every open control-message batch (drain/shutdown path: queued
   /// CDMs/NSS/acks must reach the wire before the transport stops).
@@ -190,13 +199,12 @@ class Process {
   const ScionTable& scions() const { return scions_; }
   Detector& detector() { return *detector_; }
   const Detector& detector() const { return *detector_; }
-  BacktraceDetector& backtracer() { return *backtracer_; }
-  GlobalTraceCollector& gtrace() { return *gtrace_; }
   std::shared_ptr<const SummarizedGraph> current_summary() const { return summary_; }
   std::uint64_t snapshot_version() const { return snapshot_version_; }
   /// True while a pipelined snapshot is between capture and publish.
   bool snapshot_in_flight() const { return pipeline_ && pipeline_->in_flight(); }
   SimTime now() const { return env_.now(); }
+  Env& env() { return env_; }
   std::size_t pending_exports() const { return handshakes_.size(); }
   PeerHealthTracker& peer_health() { return peer_health_; }
   const PeerHealthTracker& peer_health() const { return peer_health_; }
@@ -204,9 +212,6 @@ class Process {
   const Batcher& batcher() const { return *batcher_; }
 
  private:
-  friend class BacktraceDetector;
-  friend class GlobalTraceCollector;
-
   struct PendingInvoke {
     std::uint64_t call_id = 0;
     ObjectSeq caller = kNoObject;
@@ -339,6 +344,7 @@ class Process {
   bool self_evicted_ = false;
   std::function<void(ProcessId)> self_evicted_hook_;
   std::function<void(ProcessId)> peer_evicted_hook_;
+  ReservedHandler reserved_handler_;
 
   BinarySerializer serializer_;
   SccSummarizer summarizer_;
@@ -347,8 +353,6 @@ class Process {
   std::uint64_t snapshot_version_ = 0;
 
   std::unique_ptr<Detector> detector_;
-  std::unique_ptr<BacktraceDetector> backtracer_;
-  std::unique_ptr<GlobalTraceCollector> gtrace_;
   /// Declared after the serializer/summarizer/store it borrows: destroyed
   /// first, which joins the background worker before its inputs die.
   std::unique_ptr<SnapshotPipeline> pipeline_;

@@ -47,17 +47,13 @@ std::vector<MessagePayload> sample_messages() {
   cdm.target = {{make_ref_id(2, 2), 0}};
   out.emplace_back(cdm);
 
-  BacktraceRequestMsg bt;
-  bt.trace_id = 9;
-  bt.req_id = 10;
-  bt.subject_ref = make_ref_id(0, 5);
-  bt.visited = {make_ref_id(0, 5), make_ref_id(1, 6)};
-  out.emplace_back(bt);
+  BatchMsg batch;
+  batch.items = {encode_message(MessagePayload{nss}), encode_message(MessagePayload{cdm})};
+  out.emplace_back(batch);
 
-  GtStatusMsg gs;
-  gs.epoch = 2;
-  gs.marks_sent = 100;
-  out.emplace_back(gs);
+  EvictedNackMsg nack;
+  nack.evicted_incarnation = 3;
+  out.emplace_back(nack);
   return out;
 }
 

@@ -86,53 +86,22 @@ TEST(Messages, CdmRoundTrip) {
   EXPECT_EQ(round_trip(m), m);
 }
 
-TEST(Messages, BacktraceRoundTrip) {
-  BacktraceRequestMsg rq;
-  rq.trace_id = 7;
-  rq.req_id = 13;
-  rq.subject_ref = make_ref_id(1, 1);
-  rq.visited = {make_ref_id(1, 1), make_ref_id(2, 2)};
-  rq.depth = 3;
-  EXPECT_EQ(round_trip(rq), rq);
-
-  BacktraceReplyMsg rp;
-  rp.trace_id = 7;
-  rp.req_id = 13;
-  rp.reachable = true;
-  EXPECT_EQ(round_trip(rp), rp);
-}
-
-TEST(Messages, GlobalTraceRoundTrips) {
-  GtStartMsg st;
-  st.epoch = 3;
-  st.epoch_start = 123456789;
-  EXPECT_EQ(round_trip(st), st);
-
-  GtMarkMsg mk;
-  mk.epoch = 3;
-  mk.ref = make_ref_id(7, 8);
-  EXPECT_EQ(round_trip(mk), mk);
-
-  GtPollMsg pl;
-  pl.epoch = 3;
-  pl.poll_seq = 11;
-  EXPECT_EQ(round_trip(pl), pl);
-
-  GtStatusMsg su;
-  su.epoch = 3;
-  su.poll_seq = 11;
-  su.marks_sent = 100;
-  su.marks_processed = 99;
-  EXPECT_EQ(round_trip(su), su);
-
-  GtFinishMsg fi;
-  fi.epoch = 3;
-  EXPECT_EQ(round_trip(fi), fi);
-}
-
 TEST(Messages, UnknownTagRejected) {
   std::vector<std::byte> bytes = {std::byte{0xEE}};
   EXPECT_THROW(decode_message(bytes), DecodeError);
+}
+
+TEST(Messages, ReservedTagsRejected) {
+  for (int tag = 7; tag <= 13; ++tag) {
+    ASSERT_TRUE(kReservedTags.contains(static_cast<std::uint8_t>(tag)));
+    // A tag alone, and a tag followed by an 8-byte body.
+    std::vector<std::byte> bytes(9, std::byte{0});
+    bytes[0] = static_cast<std::byte>(tag);
+    EXPECT_THROW(decode_message(std::span(bytes).first(1)), DecodeError) << tag;
+    EXPECT_THROW(decode_message(bytes), DecodeError) << tag;
+  }
+  EXPECT_FALSE(kReservedTags.contains(static_cast<std::uint8_t>(MessageTag::kCdm)));
+  EXPECT_FALSE(kReservedTags.contains(static_cast<std::uint8_t>(MessageTag::kBatch)));
 }
 
 TEST(Messages, EmptyBufferRejected) {

@@ -1,6 +1,9 @@
 // Unit tests for metrics, config rendering and the log level gate.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "src/common/config.h"
 #include "src/common/log.h"
 #include "src/common/metrics.h"
@@ -50,9 +53,25 @@ TEST(Metrics, ReportListsOnlyNonZero) {
 TEST(Metrics, ResetZeroesEverything) {
   Metrics m;
   m.cdms_sent.add(3);
-  m.gt_marks_sent.add(9);
+  m.peer_health_slots.set(9);
   m.reset();
   EXPECT_TRUE(m.report().empty());
+}
+
+TEST(Metrics, SetStoresInOneStep) {
+  Counter c;
+  c.add(3);
+  c.set(7);
+  EXPECT_EQ(c.get(), 7u);
+  // A gauge is written on the loop thread and summed by the admin thread;
+  // a reader must never see the 0 between a reset() and an add().
+  std::atomic<bool> stop{false};
+  std::thread writer([&] { for (std::uint64_t i = 0; !stop.load(); ++i) c.set(1 + i % 4); });
+  bool saw_zero = false;
+  for (int i = 0; i < 200'000; ++i) saw_zero = saw_zero || c.get() == 0;
+  stop = true;
+  writer.join();
+  EXPECT_FALSE(saw_zero);
 }
 
 TEST(Metrics, CopyTakesSnapshot) {

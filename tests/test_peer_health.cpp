@@ -64,8 +64,8 @@ TEST_F(PeerHealthTest, AccrualSuspectsSilentPeerOnlyWhileContacting) {
   // Outstanding traffic + silence beyond phi * max(srtt, floor) suspects.
   tracker.on_send(1, 1000);
   const double srtt = std::max(tracker.srtt_us(1),
-                               static_cast<double>(cfg.suspect_rtt_floor_us));
-  const SimTime limit = 1000 + static_cast<SimTime>(cfg.suspect_phi * srtt);
+                               static_cast<double>(kSuspectRttFloorUs));
+  const SimTime limit = 1000 + static_cast<SimTime>(kSuspectPhi * srtt);
   EXPECT_FALSE(tracker.suspected(1, limit));     // at the bound: not yet
   EXPECT_TRUE(tracker.suspected(1, limit + 1));  // past it: suspected
 }
@@ -94,8 +94,8 @@ TEST_F(PeerHealthTest, IdleGapDoesNotCountAsSilence) {
   tracker.on_send(1, 500'000'000);  // resume after ~500s idle
   EXPECT_FALSE(tracker.suspected(1, 500'000'001));
   const double srtt = std::max(tracker.srtt_us(1),
-                               static_cast<double>(cfg.suspect_rtt_floor_us));
-  const SimTime limit = 500'000'000 + static_cast<SimTime>(cfg.suspect_phi * srtt);
+                               static_cast<double>(kSuspectRttFloorUs));
+  const SimTime limit = 500'000'000 + static_cast<SimTime>(kSuspectPhi * srtt);
   EXPECT_FALSE(tracker.suspected(1, limit));
   EXPECT_TRUE(tracker.suspected(1, limit + 1));
 }

@@ -102,6 +102,40 @@ TEST(RmiRace, InvokeAheadOfOlderNewSetStubsKeepsScion) {
   EXPECT_TRUE(owner.scions().find(ref)->confirmed);
 }
 
+// Tags 7-13 are reserved for collectors a bench or test attaches; with none
+// attached, a Process drops them like any undecodable message. A process
+// that honoured them would let any peer, with no coordinator, send a
+// GtStart then a GtFinish that deletes a confirmed scion, and its next LGC
+// would reclaim the object while the holder still holds the reference.
+TEST(ReservedTags, DroppedWithoutHandler) {
+  Runtime rt(2, sim::manual_config(9));
+  Process& holder = rt.proc(0);
+  Process& owner = rt.proc(1);
+  const ObjectSeq h = holder.create_object();
+  holder.add_root(h);
+  const ObjectSeq x = owner.create_object();
+  const RefId ref = rt.link(ObjectId{0, h}, ObjectId{1, x});
+  holder.run_lgc();  // its NewSetStubs lists ref: the scion is confirmed
+  rt.run_for(50'000);
+  ASSERT_TRUE(owner.scions().find(ref)->confirmed);
+
+  const auto envelope = [](std::uint8_t tag, std::vector<std::uint64_t> words) {
+    ByteWriter w;
+    w.u8(tag);
+    for (std::uint64_t v : words) w.u64(v);
+    Envelope e;
+    e.src = 0;
+    e.dst = 1;
+    e.bytes = w.take();
+    return e;
+  };
+  owner.deliver(envelope(9, {/*epoch=*/1, /*epoch_start=*/rt.now() + 1}));  // GtStart
+  owner.deliver(envelope(13, {/*epoch=*/1}));                                // GtFinish
+  owner.run_lgc();
+  EXPECT_TRUE(owner.scions().contains(ref));
+  EXPECT_TRUE(owner.heap().exists(x));
+}
+
 TEST_F(Rmi, NoReplyModeBumpsOnce) {
   rt.proc(0).invoke(a.seq, a_to_b, InvokeEffect::kTouch, {}, /*want_reply=*/false);
   rt.run_for(50'000);
