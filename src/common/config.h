@@ -54,13 +54,14 @@ struct ProcessConfig {
 
   // --- permanent-failure eviction ---
   /// Escalates sustained suspicion into committed death: a peer that has
-  /// been continuously suspected — or that holds scions here and has been
-  /// silent — for this long is evicted (its scions dropped, stubs toward it
-  /// retired, detections crossing it aborted, transport/batcher state
-  /// purged) and tombstoned by incarnation. Must sit well above the longest
-  /// partition the deployment should ride out: a false positive degrades to
-  /// a forced crash/restart of the accused peer, never to a dangling
-  /// reference, but restarts are not free. 0 disables eviction entirely.
+  /// been continuously suspected for this long, with unanswered retries or
+  /// NssSolicit probes behind the suspicion, is evicted (its scions
+  /// dropped, stubs toward it retired, detections crossing it aborted,
+  /// transport/batcher state purged) and tombstoned by incarnation. Must
+  /// sit well above the longest partition the deployment should ride out: a
+  /// false positive degrades to a forced crash/restart of the accused peer,
+  /// never to a dangling reference, but restarts are not free. 0 disables
+  /// eviction entirely.
   SimTime peer_death_timeout_us = 0;
 
   /// Grace period protecting a *pending* (never yet confirmed by its holder)

@@ -852,15 +852,17 @@ void Process::maybe_evict_peers() {
     evict_watch_since_ = now > 0 ? now : 1;
     return;
   }
-  // Eviction proper requires sustained phi-accrual/failure suspicion for a
-  // full timeout — silence alone never convicts, because silence cannot
-  // distinguish a dead holder from one that restarted from a snapshot
-  // predating our stubs (it legitimately never speaks to us again) or from
-  // a partitioned-but-alive one. Scion holders silent past the timeout are
-  // instead probed with NssSolicit: a live holder answers with its
-  // authoritative (possibly empty) NewSetStubs, expiring any orphan scions
-  // it no longer backs; a dead one leaves the probe unanswered, which
-  // scores a timeout strike and pushes it into the suspicion escalation.
+  // Eviction proper requires suspicion sustained for a full timeout AND
+  // backed by failures (unanswered retries or probes). Silence alone never
+  // convicts: it cannot distinguish a dead peer from one that owes us
+  // nothing — an owner whose holder stopped invoking only ever receives our
+  // NewSetStubs, and a holder that restarted from a snapshot predating our
+  // stubs legitimately never speaks to us again — nor from a partitioned-
+  // but-alive one. Suspects and scion holders silent past the timeout are
+  // instead probed with NssSolicit: a live peer answers with its
+  // authoritative (possibly empty) NewSetStubs, which clears the suspicion
+  // and expires any orphan scions it no longer backs; a dead one leaves the
+  // probe unanswered, which scores a failure strike.
   std::set<ProcessId> holders;
   for (const auto& [ref, scion] : scions_) {
     (void)ref;
@@ -870,12 +872,13 @@ void Process::maybe_evict_peers() {
   candidates.insert(holders.begin(), holders.end());
   for (ProcessId peer : candidates) {
     if (peer == pid_ || peer_health_.evicted_incarnation(peer)) continue;
+    const bool suspected = peer_health_.suspected(peer, now);
     bool dead = false;
-    if (peer_health_.suspected(peer, now)) {
+    if (suspected && peer_health_.consecutive_failures(peer) >= cfg_.suspect_after_failures) {
       const SimTime since = peer_health_.suspected_since(peer);
       dead = since > 0 && now >= since + timeout;
     }
-    if (!dead && holders.contains(peer)) {
+    if (!dead && (suspected || holders.contains(peer))) {
       const SimTime heard = peer_health_.last_heard(peer);
       const SimTime baseline = std::max(heard, evict_watch_since_);
       if (now >= baseline + timeout) {

@@ -1,12 +1,13 @@
 // Composed chaos: sustained loss + duplication + reordering + rotating link
-// partitions + crash rotation, with the planted-structure oracle asserting
-// safety (no sentinel lost) and completeness (all planted cycles reclaimed)
-// per seed — plus the backoff-vs-fixed retry-traffic comparison.
+// partitions + crash rotation (the fault sweep's chaos preset), with its
+// oracles asserting safety (every live sentinel reachable) and completeness
+// (no garbage left) per seed — plus the backoff-vs-fixed retry-traffic
+// comparison.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 
-#include "src/sim/chaos_sweep.h"
+#include "src/sim/fault_sweep.h"
 
 namespace adgc {
 namespace {
@@ -23,14 +24,12 @@ int soak_multiplier() {
 class ChaosSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ChaosSweep, SurvivesComposedFaults) {
-  sim::ChaosSweepParams p;
-  p.seed = GetParam();
-  const sim::ChaosSweepResult res = sim::run_chaos_sweep(p);
-  EXPECT_FALSE(res.live_lost) << "SAFETY seed=" << p.seed << ": " << res.detail;
-  EXPECT_TRUE(res.cycles_collected)
-      << "COMPLETENESS seed=" << p.seed << ": " << res.detail;
+  const sim::FaultSweepParams p = sim::chaos_preset(GetParam());
+  const sim::FaultSweepResult res = sim::run_fault_sweep(p);
+  EXPECT_TRUE(res.sentinels_ok) << "SAFETY seed=" << p.seed << ": " << res.detail;
+  EXPECT_TRUE(res.no_garbage) << "COMPLETENESS seed=" << p.seed << ": " << res.detail;
   EXPECT_EQ(res.crashes, res.recovered) << "a restart failed to recover";
-  EXPECT_GT(res.messages_lost, 0u) << "the storm did not actually bite";
+  EXPECT_GT(res.metrics.messages_lost.get(), 0u) << "the storm did not actually bite";
 }
 
 // The acceptance bar: ≥10 seeds at 10% loss / 5% duplication with rotating
@@ -42,9 +41,9 @@ TEST(ChaosSweep, NightlyExtraSeeds) {
   const int extra_batches = soak_multiplier() - 1;
   for (int b = 0; b < extra_batches; ++b) {
     for (std::uint64_t s = 0; s < 10; ++s) {
-      sim::ChaosSweepParams p;
-      p.seed = 1000 + static_cast<std::uint64_t>(b) * 10 + s;
-      const sim::ChaosSweepResult res = sim::run_chaos_sweep(p);
+      const sim::FaultSweepParams p =
+          sim::chaos_preset(1000 + static_cast<std::uint64_t>(b) * 10 + s);
+      const sim::FaultSweepResult res = sim::run_fault_sweep(p);
       ASSERT_TRUE(res.ok()) << "seed=" << p.seed << ": " << res.detail;
     }
   }
@@ -58,16 +57,13 @@ TEST(ChaosSweep, NightlyExtraSeeds) {
 // default-on shape across ten seeds.
 TEST(ChaosSweep, DegradationOraclesHoldWithAndWithoutBatching) {
   for (const bool batching : {true, false}) {
-    sim::ChaosSweepParams p;
-    p.seed = 3;
+    sim::FaultSweepParams p = sim::chaos_preset(3);
     p.batching = batching;
-    const sim::ChaosSweepResult res = sim::run_chaos_sweep(p);
-    EXPECT_FALSE(res.live_lost)
-        << "SAFETY batching=" << batching << ": " << res.detail;
-    EXPECT_TRUE(res.cycles_collected)
-        << "COMPLETENESS batching=" << batching << ": " << res.detail;
+    const sim::FaultSweepResult res = sim::run_fault_sweep(p);
+    EXPECT_TRUE(res.sentinels_ok) << "SAFETY batching=" << batching << ": " << res.detail;
+    EXPECT_TRUE(res.no_garbage) << "COMPLETENESS batching=" << batching << ": " << res.detail;
     EXPECT_EQ(res.crashes, res.recovered) << "batching=" << batching;
-    EXPECT_GT(res.messages_lost, 0u) << "batching=" << batching;
+    EXPECT_GT(res.metrics.messages_lost.get(), 0u) << "batching=" << batching;
   }
 }
 
@@ -79,16 +75,15 @@ TEST(ChaosSweep, DegradationOraclesHoldWithAndWithoutBatching) {
 // cheap (TenSeeds above already storms the default-on shape).
 TEST(ChaosSweep, DegradationOraclesHoldWithAndWithoutPipeline) {
   for (const bool pipeline : {true, false}) {
-    sim::ChaosSweepParams p;
-    p.seed = 7;
+    sim::FaultSweepParams p = sim::chaos_preset(7);
     p.snapshot_pipeline = pipeline;
-    const sim::ChaosSweepResult res = sim::run_chaos_sweep(p);
-    EXPECT_FALSE(res.live_lost)
+    const sim::FaultSweepResult res = sim::run_fault_sweep(p);
+    EXPECT_TRUE(res.sentinels_ok)
         << "SAFETY snapshot_pipeline=" << pipeline << ": " << res.detail;
-    EXPECT_TRUE(res.cycles_collected)
+    EXPECT_TRUE(res.no_garbage)
         << "COMPLETENESS snapshot_pipeline=" << pipeline << ": " << res.detail;
     EXPECT_EQ(res.crashes, res.recovered) << "snapshot_pipeline=" << pipeline;
-    EXPECT_GT(res.messages_lost, 0u) << "snapshot_pipeline=" << pipeline;
+    EXPECT_GT(res.metrics.messages_lost.get(), 0u) << "snapshot_pipeline=" << pipeline;
   }
 }
 
@@ -96,18 +91,21 @@ TEST(ChaosSweep, DegradationOraclesHoldWithAndWithoutPipeline) {
 // a peer_death_timeout comfortably above every transient silence the sweep
 // injects (partitions and crash downtime are both well under a second) may
 // never fire a false eviction, so the safety and completeness oracles must
-// hold exactly as in the eviction-disabled baseline.
+// hold exactly as in the eviction-disabled baseline. Once the cycles are
+// collected every sentinel link is one-way — the keeper sends NewSetStubs
+// and the owner owes it nothing back — so this leg also pins that such
+// silence never convicts.
 TEST(ChaosSweep, EvictionArmedMatchesDisabledBaseline) {
   for (const SimTime timeout_us : {SimTime{0}, SimTime{5'000'000}}) {
-    sim::ChaosSweepParams p;
-    p.seed = 5;
+    sim::FaultSweepParams p = sim::chaos_preset(5);
     p.peer_death_timeout_us = timeout_us;
-    const sim::ChaosSweepResult res = sim::run_chaos_sweep(p);
-    EXPECT_FALSE(res.live_lost)
+    const sim::FaultSweepResult res = sim::run_fault_sweep(p);
+    EXPECT_TRUE(res.sentinels_ok)
         << "SAFETY eviction_timeout_us=" << timeout_us << ": " << res.detail;
-    EXPECT_TRUE(res.cycles_collected)
+    EXPECT_TRUE(res.no_garbage)
         << "COMPLETENESS eviction_timeout_us=" << timeout_us << ": " << res.detail;
     EXPECT_EQ(res.crashes, res.recovered) << "eviction_timeout_us=" << timeout_us;
+    EXPECT_EQ(res.metrics.peers_evicted.get(), 0u) << "eviction_timeout_us=" << timeout_us;
   }
 }
 

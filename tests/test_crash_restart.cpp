@@ -10,9 +10,9 @@
 //     state the rollback resurrected;
 //   * a cold restart (no snapshot store) leaves the rest of the system
 //     functional;
-//   * the scripted crash sweep (every process crashed once mid-detection)
-//     collects the Fig. 3 cycle and never collects a live sentinel, across
-//     seeds;
+//   * the crash preset of the fault sweep (every process crashed once
+//     mid-detection) leaves no garbage and keeps every live sentinel
+//     reachable, across seeds;
 //   * the threaded runtime supports the same crash/restart cycle under real
 //     concurrency.
 #include <gtest/gtest.h>
@@ -21,7 +21,7 @@
 #include <string>
 
 #include "src/rt/threaded_runtime.h"
-#include "src/sim/crash_sweep.h"
+#include "src/sim/fault_sweep.h"
 #include "src/sim/harness.h"
 #include "src/sim/scenarios.h"
 
@@ -209,12 +209,11 @@ TEST(CrashRestart, RestartedIncarnationNeverReusesIdentifiers) {
 class CrashSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(CrashSweep, CollectsCycleNeverLosesLiveObjects) {
-  sim::CrashSweepParams p;
-  p.seed = GetParam();
+  sim::FaultSweepParams p = sim::crash_preset(GetParam());
   p.snapshot_dir = snap_dir("sweep_" + std::to_string(p.seed));
-  const sim::CrashSweepResult res = sim::run_crash_sweep(p);
-  EXPECT_TRUE(res.cycle_collected) << res.detail;
-  EXPECT_FALSE(res.live_lost) << res.detail;
+  const sim::FaultSweepResult res = sim::run_fault_sweep(p);
+  EXPECT_TRUE(res.no_garbage) << res.detail;
+  EXPECT_TRUE(res.sentinels_ok) << res.detail;
   EXPECT_EQ(res.crashes, 4u);
   EXPECT_EQ(res.recovered, 4u) << "some restart failed to recover its snapshot";
 }

@@ -12,9 +12,10 @@
 //     and the stranded garbage it unpins is reclaimed by the next LGC;
 //   * a zombie (evicted but still running) is NACKed into self_evicted and
 //     a fresh incarnation is readmitted and fully functional;
-//   * a silent dead peer is evicted automatically after the timeout;
-//   * the multi-seed ring sweep reclaims every stranded stub/scion in
-//     bounded time without touching live sentinels;
+//   * a silent dead peer is evicted automatically after the timeout, and a
+//     live owner that only receives from its holder never is;
+//   * the fault sweep's eviction preset reclaims every stranded stub/scion
+//     in bounded time without touching live sentinels;
 //   * the model checker finds no safety violation in the evict scenario's
 //     schedule space while actually exercising evictions.
 #include <gtest/gtest.h>
@@ -26,7 +27,7 @@
 #include "src/mc/explorer.h"
 #include "src/mc/strategy.h"
 #include "src/net/peer_health.h"
-#include "src/sim/eviction_sweep.h"
+#include "src/sim/fault_sweep.h"
 #include "src/sim/harness.h"
 
 namespace adgc {
@@ -207,15 +208,36 @@ TEST(Eviction, SilentDeadPeerEvictedAfterTimeout) {
   EXPECT_EQ(rt.proc(0).metrics().peer_health_slots.get(), 0u);
 }
 
+// A holder that stops invoking leaves one-way traffic: it sends the owner a
+// NewSetStubs every LGC and the owner owes it no answer. That silence is no
+// evidence of death, so the owner must never be convicted for it.
+TEST(Eviction, OneWayHolderNeverConvictsHealthyOwner) {
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    RuntimeConfig cfg = sim::fast_config(seed);
+    cfg.proc.peer_death_timeout_us = 1'000'000;
+    Runtime rt(2, cfg);
+    const LiveRef lr = build_live_ref(rt, 0, 1);
+    rt.proc(0).invoke(lr.holder_obj.seq, lr.ref, InvokeEffect::kTouch, {},
+                      /*want_reply=*/true);
+    rt.run_for(5'000'000);
+
+    EXPECT_EQ(rt.total_metrics().peers_evicted.get(), 0u) << "seed=" << seed;
+    EXPECT_TRUE(rt.proc(0).stubs().contains(lr.ref)) << "seed=" << seed;
+    EXPECT_FALSE(rt.proc(1).self_evicted()) << "seed=" << seed;
+    EXPECT_TRUE(sim::global_live_set(rt).contains(lr.target_obj))
+        << "seed=" << seed << ": the holder's field was stripped";
+  }
+}
+
 class EvictionSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(EvictionSweep, StrandedStateReclaimedWithinBound) {
-  sim::EvictionSweepParams p;
-  p.seed = GetParam();
-  const sim::EvictionSweepResult res = sim::run_eviction_sweep(p);
+  const sim::FaultSweepParams p = sim::eviction_preset(GetParam());
+  const sim::FaultSweepResult res = sim::run_fault_sweep(p);
   EXPECT_TRUE(res.ok()) << "seed=" << p.seed << ": " << res.detail;
-  EXPECT_GE(res.peers_evicted, 1u);
-  EXPECT_GE(res.eviction_stubs_retired + res.eviction_scions_dropped, 1u);
+  EXPECT_GE(res.metrics.peers_evicted.get(), 1u);
+  EXPECT_GE(res.metrics.eviction_stubs_retired.get() + res.metrics.eviction_scions_dropped.get(),
+            1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(TenSeeds, EvictionSweep,
