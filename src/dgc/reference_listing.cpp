@@ -5,16 +5,6 @@
 
 namespace adgc {
 
-NewSetStubsMsg build_new_set_stubs(const StubTable& stubs, ProcessId owner,
-                                   std::uint64_t export_seq) {
-  NewSetStubsMsg msg;
-  msg.export_seq = export_seq;
-  for (const auto& [ref, stub] : stubs) {
-    if (stub.target.owner == owner) msg.live.push_back(ref);
-  }
-  return msg;
-}
-
 std::map<ProcessId, NewSetStubsMsg> build_all_new_set_stubs(
     const StubTable& stubs, const std::set<ProcessId>& contacts) {
   std::map<ProcessId, NewSetStubsMsg> out;

@@ -18,19 +18,14 @@
 
 namespace adgc {
 
-/// Builds the NewSetStubs payload for destination `owner`: all live stubs
-/// whose target lives at `owner` (pinned in-flight exports included —
-/// StubTable deletion already spares them, so they are simply present).
-NewSetStubsMsg build_new_set_stubs(const StubTable& stubs, ProcessId owner,
-                                   std::uint64_t export_seq);
-
-/// Grouped build for the post-LGC fan-out: ONE pass over the stub table
-/// produces the NewSetStubs payload for every contact in `contacts`
-/// (including empty payloads for contacts with no surviving stubs — an
-/// empty set is meaningful: it deletes the peer's remaining scions).
-/// O(stubs + contacts) instead of build_new_set_stubs's O(stubs × contacts);
-/// `export_seq` is left 0 for the caller to stamp per destination. Stub
-/// order per destination matches the per-owner builder (table order).
+/// Builds the NewSetStubs payload for every contact in `contacts` in ONE
+/// pass over the stub table: each lists the live stubs whose target lives at
+/// that contact (pinned in-flight exports included — StubTable deletion
+/// already spares them, so they are simply present), in stub-table order. A
+/// contact with no surviving stubs gets an empty payload, which is
+/// meaningful: it deletes the peer's remaining scions. Owners outside
+/// `contacts` get nothing. O(stubs + contacts); `export_seq` is left 0 for
+/// the caller to stamp per destination.
 std::map<ProcessId, NewSetStubsMsg> build_all_new_set_stubs(
     const StubTable& stubs, const std::set<ProcessId>& contacts);
 

@@ -32,11 +32,6 @@ std::vector<RefId> ScionTable::refs_from_holder(ProcessId holder) const {
   return out;
 }
 
-std::uint64_t ScionTable::last_export_seq(ProcessId holder) const {
-  auto it = export_seq_.find(holder);
-  return it == export_seq_.end() ? 0 : it->second;
-}
-
 bool ScionTable::accept_export_seq(ProcessId holder, std::uint64_t seq) {
   std::uint64_t& cur = export_seq_[holder];
   if (seq <= cur) return false;

@@ -60,8 +60,6 @@ class ScionTable {
   /// Scions held by `holder` (the subject of one NewSetStubs message).
   std::vector<RefId> refs_from_holder(ProcessId holder) const;
 
-  /// Highest NewSetStubs export_seq accepted from `holder` so far.
-  std::uint64_t last_export_seq(ProcessId holder) const;
   /// Records an accepted export_seq; returns false if `seq` is stale
   /// (≤ the recorded one), in which case the message must be ignored.
   bool accept_export_seq(ProcessId holder, std::uint64_t seq);

@@ -22,12 +22,4 @@ const StubEntry* StubTable::find(RefId ref) const {
   return it == entries_.end() ? nullptr : &it->second;
 }
 
-std::map<ProcessId, std::vector<RefId>> StubTable::live_refs_by_owner() const {
-  std::map<ProcessId, std::vector<RefId>> out;
-  for (const auto& [ref, entry] : entries_) {
-    out[entry.target.owner].push_back(ref);
-  }
-  return out;
-}
-
 }  // namespace adgc

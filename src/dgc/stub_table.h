@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <map>
-#include <vector>
 
 #include "src/common/config.h"
 #include "src/common/ids.h"
@@ -42,9 +41,6 @@ class StubTable {
   auto end() { return entries_.end(); }
   auto begin() const { return entries_.begin(); }
   auto end() const { return entries_.end(); }
-
-  /// All live refs grouped by target owner process (NewSetStubs payloads).
-  std::map<ProcessId, std::vector<RefId>> live_refs_by_owner() const;
 
  private:
   std::map<RefId, StubEntry> entries_;  // ordered: deterministic iteration

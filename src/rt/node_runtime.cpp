@@ -97,7 +97,13 @@ class NodeRuntime::NodeEnv final : public Env {
 
 NodeRuntime::NodeRuntime(Options opts) : opts_(std::move(opts)) {}
 
-NodeRuntime::~NodeRuntime() { stop(0); }
+NodeRuntime::~NodeRuntime() {
+  stop(0);
+  // The Process owns the snapshot worker, which may still post completions
+  // through enqueue(). Members die in reverse declaration order, queue_,
+  // cv_ and mu_ before proc_, so join the worker while they are alive.
+  proc_.reset();
+}
 
 Incarnation NodeRuntime::load_and_bump_incarnation() {
   if (opts_.state_dir.empty()) return 0;

@@ -946,17 +946,20 @@ void Process::evict_peer(ProcessId peer) {
 
   // 4. Stubs toward the dead peer: their targets died with it. Strip every
   //    holding field first so heap and reference listing stay exact, then
-  //    retire the stub itself.
-  std::vector<RefId> dead_refs;
+  //    retire the stub itself. One heap pass strips them all.
+  std::vector<RefId> dead_refs;  // sorted: stubs_ iterates in RefId order
   for (const auto& [ref, stub] : stubs_) {
     if (stub.target.owner == peer) dead_refs.push_back(ref);
   }
-  for (RefId ref : dead_refs) {
+  if (!dead_refs.empty()) {
     for (auto& [seq, obj] : heap_.objects()) {
       (void)seq;
-      auto& rf = obj.remote_fields;
-      rf.erase(std::remove(rf.begin(), rf.end(), ref), rf.end());
+      std::erase_if(obj.remote_fields, [&](RefId r) {
+        return std::binary_search(dead_refs.begin(), dead_refs.end(), r);
+      });
     }
+  }
+  for (RefId ref : dead_refs) {
     pinned_.erase(ref);
     pinned_set_.erase(ref);
     stubs_.erase(ref);

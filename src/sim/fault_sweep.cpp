@@ -82,15 +82,51 @@ std::vector<ObjectId> plant(Runtime& rt, const FaultSweepParams& p) {
   return {};
 }
 
-/// Keeps the first failure an oracle reports.
-struct Verdict {
-  bool ok = true;
-  std::string first;
-  void fail(const std::string& why) {
-    if (ok) first = why;
-    ok = false;
+/// Sentinel oracle: L_p and N_{p+1} are reachable from a root while their
+/// keeper is up; N_{p+1} is gone once its keeper L_p is down for good.
+/// Returns the first violation.
+std::optional<std::string> check_sentinels(const Runtime& rt, const std::vector<ObjectId>& L,
+                                           const std::vector<ObjectId>& N) {
+  const std::size_t n = rt.size();
+  const auto live = global_live_set(rt);
+  for (ProcessId pid = 0; pid < n; ++pid) {
+    if (!rt.alive(pid)) continue;
+    const ProcessId keeper = static_cast<ProcessId>((pid + n - 1) % n);
+    std::ostringstream why;
+    if (!live.contains(L[pid])) {
+      why << "rooted sentinel " << to_string(L[pid]) << " unreachable";
+    } else if (rt.alive(keeper) && !live.contains(N[pid])) {
+      why << "sentinel " << to_string(N[pid]) << " unreachable with its keeper P" << keeper
+          << " up";
+    } else if (!rt.alive(keeper) && rt.proc(pid).heap().exists(N[pid].seq)) {
+      why << "sentinel " << to_string(N[pid]) << " outlived its keeper P" << keeper;
+    }
+    if (!why.str().empty()) return why.str();
   }
-};
+  return std::nullopt;
+}
+
+/// Stranded-state oracle: no survivor keeps a stub toward, or a scion from,
+/// a process that is down. Returns the first violation.
+std::optional<std::string> check_no_stranded(const Runtime& rt) {
+  for (ProcessId pid = 0; pid < rt.size(); ++pid) {
+    if (!rt.alive(pid)) continue;
+    std::ostringstream why;
+    for (const auto& [ref, stub] : rt.proc(pid).stubs()) {
+      if (rt.alive(stub.target.owner)) continue;
+      why << "P" << pid << " still holds stub " << ref_to_string(ref) << " toward dead P"
+          << stub.target.owner;
+      return why.str();
+    }
+    for (const auto& [ref, scion] : rt.proc(pid).scions()) {
+      if (scion.holder >= rt.size() || rt.alive(scion.holder)) continue;
+      why << "P" << pid << " still holds scion " << ref_to_string(ref) << " from dead P"
+          << scion.holder;
+      return why.str();
+    }
+  }
+  return std::nullopt;
+}
 
 }  // namespace
 
@@ -157,7 +193,7 @@ FaultSweepResult run_fault_sweep(const FaultSweepParams& p) {
       }
       SimTime left = p.slice_us;
       if (restarts || (p.crash == CrashPlan::kForever && slice == 0)) {
-        const ProcessId victim = static_cast<ProcessId>((p.victim + (restarts ? slice : 0)) % n);
+        const ProcessId victim = static_cast<ProcessId>((p.victim + slice) % n);
         rt.crash(victim);
         ++res.crashes;
         if (restarts) {
@@ -176,48 +212,17 @@ FaultSweepResult run_fault_sweep(const FaultSweepParams& p) {
     rt.network().set_duplicate_probability(0.0);
     advance(p.settle_us);
 
-    // Oracles. Every process is up again unless the crash plan killed it
-    // for good.
-    Verdict sentinels, stranded;
-    const auto live = global_live_set(rt);
-    for (ProcessId pid = 0; pid < n; ++pid) {
-      if (!rt.alive(pid)) continue;
-      const ProcessId keeper = static_cast<ProcessId>((pid + n - 1) % n);
-      std::ostringstream why;
-      if (!live.contains(L[pid])) {
-        why << "rooted sentinel " << to_string(L[pid]) << " unreachable";
-      } else if (rt.alive(keeper) && !live.contains(N[pid])) {
-        why << "sentinel " << to_string(N[pid]) << " unreachable with its keeper P" << keeper
-            << " up";
-      } else if (!rt.alive(keeper) && rt.proc(pid).heap().exists(N[pid].seq)) {
-        why << "sentinel " << to_string(N[pid]) << " outlived its keeper P" << keeper;
-      }
-      if (!why.str().empty()) sentinels.fail(why.str());
-
-      for (const auto& [ref, stub] : rt.proc(pid).stubs()) {
-        if (rt.alive(stub.target.owner)) continue;
-        std::ostringstream os;
-        os << "P" << pid << " still holds stub " << ref_to_string(ref) << " toward dead P"
-           << stub.target.owner;
-        stranded.fail(os.str());
-      }
-      for (const auto& [ref, scion] : rt.proc(pid).scions()) {
-        if (scion.holder >= n || rt.alive(scion.holder)) continue;
-        std::ostringstream os;
-        os << "P" << pid << " still holds scion " << ref_to_string(ref) << " from dead P"
-           << scion.holder;
-        stranded.fail(os.str());
-      }
-    }
-    const std::optional<std::string> garbage = mc::check_no_garbage(rt);
-
-    res.sentinels_ok = sentinels.ok;
+    // Every process is up again unless the crash plan killed it for good.
+    const auto sentinels = check_sentinels(rt, L, N);
+    const auto garbage = mc::check_no_garbage(rt);
+    const auto stranded = check_no_stranded(rt);
+    res.sentinels_ok = !sentinels;
     res.no_garbage = !garbage;
-    res.no_stranded = stranded.ok;
+    res.no_stranded = !stranded;
     std::ostringstream detail;
-    if (!sentinels.ok) detail << "sentinels: " << sentinels.first << "; ";
+    if (sentinels) detail << "sentinels: " << *sentinels << "; ";
     if (garbage) detail << "garbage: " << *garbage << "; ";
-    if (!stranded.ok) detail << "stranded: " << stranded.first << "; ";
+    if (stranded) detail << "stranded: " << *stranded << "; ";
     res.detail = detail.str();
     res.metrics = rt.total_metrics();
   }

@@ -9,7 +9,8 @@
 //     peer's health slot; idle slots are pruned, suspected ones retained;
 //   * the sticky suspected count falls again when a peer recovers;
 //   * evict_peer() purges stubs, scions and the health slot in one step,
-//     and the stranded garbage it unpins is reclaimed by the next LGC;
+//     strips every field holding a dead reference, and the stranded garbage
+//     it unpins is reclaimed by the next LGC;
 //   * a zombie (evicted but still running) is NACKed into self_evicted and
 //     a fresh incarnation is readmitted and fully functional;
 //   * a silent dead peer is evicted automatically after the timeout, and a
@@ -22,6 +23,7 @@
 
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "src/common/metrics.h"
 #include "src/mc/explorer.h"
@@ -139,6 +141,33 @@ TEST(Eviction, EvictPurgesBothDirectionsAndUnpinsGarbage) {
   rt.run_for(500'000);
   EXPECT_FALSE(rt.proc(1).heap().exists(lr.target_obj.seq))
       << "dropping the evicted holder's scion must unpin the target";
+}
+
+// Every field holding a reference into the evicted peer loses it, in every
+// holder; a reference toward another peer keeps its field and holder count.
+TEST(Eviction, EvictStripsDeadRefsFromEveryHolder) {
+  Runtime rt(3, sim::manual_config(13));
+  const ObjectId a{0, rt.proc(0).create_object()};
+  const ObjectId b{0, rt.proc(0).create_object()};
+  rt.proc(0).add_root(a.seq);
+  rt.proc(0).add_root(b.seq);
+  const RefId dead1 = rt.link(a, ObjectId{1, rt.proc(1).create_object()});
+  const RefId dead2 = rt.link(a, ObjectId{1, rt.proc(1).create_object()});
+  const RefId live = rt.link(a, ObjectId{2, rt.proc(2).create_object()});
+  rt.proc(0).hold_existing_ref(b.seq, dead2);
+  ASSERT_EQ(rt.proc(0).stubs().find(dead2)->holders, 2u);
+
+  rt.proc(0).evict_peer(1);
+
+  EXPECT_EQ(rt.proc(0).heap().find(a.seq)->remote_fields, std::vector<RefId>{live});
+  EXPECT_TRUE(rt.proc(0).heap().find(b.seq)->remote_fields.empty());
+  EXPECT_FALSE(rt.proc(0).stubs().contains(dead1));
+  EXPECT_FALSE(rt.proc(0).stubs().contains(dead2));
+  EXPECT_EQ(rt.proc(0).metrics().eviction_stubs_retired.get(), 2u);
+  ASSERT_TRUE(rt.proc(0).stubs().contains(live));
+  EXPECT_EQ(rt.proc(0).stubs().find(live)->holders, 1u);
+  rt.proc(0).run_lgc();  // the LGC's recount agrees
+  EXPECT_EQ(rt.proc(0).stubs().find(live)->holders, 1u);
 }
 
 TEST(Eviction, ZombieIsNackedAndFreshIncarnationReadmitted) {

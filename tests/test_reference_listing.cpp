@@ -2,6 +2,8 @@
 // construction/application, confirmation state machine, staleness and grace.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/dgc/reference_listing.h"
 
 namespace adgc {
@@ -9,15 +11,21 @@ namespace {
 
 constexpr SimTime kGrace = 1000;
 
-TEST(ReferenceListing, BuildFiltersByOwner) {
+TEST(ReferenceListing, BuildAllGroupsStubsByContact) {
   StubTable stubs;
+  stubs.ensure(make_ref_id(0, 3), ObjectId{1, 30}, 0);
   stubs.ensure(make_ref_id(0, 1), ObjectId{1, 10}, 0);
   stubs.ensure(make_ref_id(0, 2), ObjectId{2, 20}, 0);
-  stubs.ensure(make_ref_id(0, 3), ObjectId{1, 30}, 0);
+  stubs.ensure(make_ref_id(0, 4), ObjectId{4, 40}, 0);
 
-  const NewSetStubsMsg msg = build_new_set_stubs(stubs, /*owner=*/1, /*seq=*/5);
-  EXPECT_EQ(msg.export_seq, 5u);
-  EXPECT_EQ(msg.live.size(), 2u);
+  const auto msgs = build_all_new_set_stubs(stubs, {1, 2, 3});
+  ASSERT_EQ(msgs.size(), 3u);
+  // Stub-table order, not insertion order.
+  EXPECT_EQ(msgs.at(1).live, (std::vector<RefId>{make_ref_id(0, 1), make_ref_id(0, 3)}));
+  EXPECT_EQ(msgs.at(2).live, std::vector<RefId>{make_ref_id(0, 2)});
+  EXPECT_TRUE(msgs.at(3).live.empty()) << "a contact without stubs gets an empty list";
+  EXPECT_FALSE(msgs.contains(4)) << "an owner that is not a contact gets nothing";
+  for (const auto& [dst, msg] : msgs) EXPECT_EQ(msg.export_seq, 0u) << "P" << dst;
 }
 
 TEST(ReferenceListing, ConfirmedScionDeletedWhenUnlisted) {
@@ -132,16 +140,6 @@ TEST(ScionTable, RefsFromHolder) {
   EXPECT_EQ(scions.refs_from_holder(1).size(), 2u);
   EXPECT_EQ(scions.refs_from_holder(2).size(), 1u);
   EXPECT_TRUE(scions.refs_from_holder(9).empty());
-}
-
-TEST(StubTable, LiveRefsByOwnerGroups) {
-  StubTable stubs;
-  stubs.ensure(make_ref_id(0, 1), ObjectId{1, 1}, 0);
-  stubs.ensure(make_ref_id(0, 2), ObjectId{1, 2}, 0);
-  stubs.ensure(make_ref_id(0, 3), ObjectId{2, 1}, 0);
-  const auto groups = stubs.live_refs_by_owner();
-  EXPECT_EQ(groups.at(1).size(), 2u);
-  EXPECT_EQ(groups.at(2).size(), 1u);
 }
 
 TEST(StubTable, EnsureIsIdempotent) {

@@ -15,8 +15,9 @@
 // workload rounds (with persistent snapshots on, so restarts recover); the
 // shadow oracle is resynced to the rolled-back state after each restart.
 //
-// --chaos runs the composed chaos sweep (loss + duplication + reordering +
-// rotating partitions + crash rotation over planted Fig. 3/Fig. 4 cycles);
+// --chaos runs the fault sweep's chaos preset (loss + duplication +
+// reordering + rotating partitions + crash rotation over planted Fig. 3/
+// Fig. 4 cycles);
 // --compare-backoff runs the same scenario under sustained loss with the
 // adaptive-degradation layer on and off and reports the retry traffic of
 // both (the graceful-degradation acceptance numbers).
@@ -149,8 +150,8 @@ void print_usage(std::FILE* out, const char* argv0) {
       "alternate modes (exclusive with the workload flags above):\n"
       "  --chaos           composed chaos sweep: loss + duplication + reordering +\n"
       "                    rotating partitions + crash rotation over planted\n"
-      "                    Fig. 3 / Fig. 4 cycles; exit 0 iff every planted cycle\n"
-      "                    is reclaimed and no live object is lost\n"
+      "                    Fig. 3 / Fig. 4 cycles; exit 0 iff no garbage is left\n"
+      "                    and every live sentinel is still reachable\n"
       "  --compare-backoff run the sustained-loss scenario with the adaptive\n"
       "                    degradation layer on and off and report the retry\n"
       "                    traffic of both; exit 0 iff adaptive reduced retries\n"
