@@ -66,8 +66,7 @@ std::filesystem::path sweep_dir(const FaultSweepParams& p) {
 /// Builds the planted garbage, still pinned; returns the roots to drop.
 std::vector<ObjectId> plant(Runtime& rt, const FaultSweepParams& p) {
   switch (p.plant) {
-    case Plant::kFig3:
-      return {build_fig3(rt).A};
+    case Plant::kFig3: return {build_fig3(rt).A};
     case Plant::kFig3Fig4: {
       const ObjectId a = build_fig3(rt).A;
       // Fig. 4 is garbage from the moment it is built; pin one object on its
@@ -96,8 +95,7 @@ std::optional<std::string> check_sentinels(const Runtime& rt, const std::vector<
     if (!live.contains(L[pid])) {
       why << "rooted sentinel " << to_string(L[pid]) << " unreachable";
     } else if (rt.alive(keeper) && !live.contains(N[pid])) {
-      why << "sentinel " << to_string(N[pid]) << " unreachable with its keeper P" << keeper
-          << " up";
+      why << "sentinel " << to_string(N[pid]) << " unreachable, keeper P" << keeper << " up";
     } else if (!rt.alive(keeper) && rt.proc(pid).heap().exists(N[pid].seq)) {
       why << "sentinel " << to_string(N[pid]) << " outlived its keeper P" << keeper;
     }
@@ -114,14 +112,12 @@ std::optional<std::string> check_no_stranded(const Runtime& rt) {
     std::ostringstream why;
     for (const auto& [ref, stub] : rt.proc(pid).stubs()) {
       if (rt.alive(stub.target.owner)) continue;
-      why << "P" << pid << " still holds stub " << ref_to_string(ref) << " toward dead P"
-          << stub.target.owner;
+      why << "P" << pid << " keeps stub " << ref_to_string(ref) << " to P" << stub.target.owner;
       return why.str();
     }
     for (const auto& [ref, scion] : rt.proc(pid).scions()) {
       if (scion.holder >= rt.size() || rt.alive(scion.holder)) continue;
-      why << "P" << pid << " still holds scion " << ref_to_string(ref) << " from dead P"
-          << scion.holder;
+      why << "P" << pid << " keeps scion " << ref_to_string(ref) << " from P" << scion.holder;
       return why.str();
     }
   }

@@ -246,8 +246,7 @@ TEST(Eviction, OneWayHolderNeverConvictsHealthyOwner) {
     cfg.proc.peer_death_timeout_us = 1'000'000;
     Runtime rt(2, cfg);
     const LiveRef lr = build_live_ref(rt, 0, 1);
-    rt.proc(0).invoke(lr.holder_obj.seq, lr.ref, InvokeEffect::kTouch, {},
-                      /*want_reply=*/true);
+    rt.proc(0).invoke(lr.holder_obj.seq, lr.ref, InvokeEffect::kTouch, {}, /*want_reply=*/true);
     rt.run_for(5'000'000);
 
     EXPECT_EQ(rt.total_metrics().peers_evicted.get(), 0u) << "seed=" << seed;
@@ -264,9 +263,9 @@ TEST_P(EvictionSweep, StrandedStateReclaimedWithinBound) {
   const sim::FaultSweepParams p = sim::eviction_preset(GetParam());
   const sim::FaultSweepResult res = sim::run_fault_sweep(p);
   EXPECT_TRUE(res.ok()) << "seed=" << p.seed << ": " << res.detail;
-  EXPECT_GE(res.metrics.peers_evicted.get(), 1u);
-  EXPECT_GE(res.metrics.eviction_stubs_retired.get() + res.metrics.eviction_scions_dropped.get(),
-            1u);
+  const Metrics& m = res.metrics;
+  EXPECT_GE(m.peers_evicted.get(), 1u);
+  EXPECT_GE(m.eviction_stubs_retired.get() + m.eviction_scions_dropped.get(), 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(TenSeeds, EvictionSweep,
