@@ -56,6 +56,9 @@ FaultSweepParams eviction_preset(std::uint64_t seed) {
 
 namespace {
 
+constexpr SimTime kWarmupUs = 400'000;
+constexpr SimTime kDownUs = 50'000;
+
 std::filesystem::path sweep_dir(const FaultSweepParams& p) {
   if (!p.snapshot_dir.empty()) return p.snapshot_dir;
   std::ostringstream name;
@@ -174,7 +177,7 @@ FaultSweepResult run_fault_sweep(const FaultSweepParams& p) {
       }
     };
 
-    advance(p.warmup_us);
+    advance(kWarmupUs);
     for (const ObjectId root : planted_roots) rt.proc(root.owner).remove_root(root.seq);
     rt.run_for(p.quiet_us);
 
@@ -193,9 +196,9 @@ FaultSweepResult run_fault_sweep(const FaultSweepParams& p) {
         rt.crash(victim);
         ++res.crashes;
         if (restarts) {
-          advance(p.down_us);
+          advance(kDownUs);
           if (rt.restart(victim)) ++res.recovered;
-          left -= p.down_us;
+          left -= kDownUs;
         }
       }
       advance(left);

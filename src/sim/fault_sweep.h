@@ -5,7 +5,8 @@
 // entirely on the cross-process stub/scion pair — exactly the state a lossy,
 // partitioned and crashing network tries hardest to corrupt. The timeline:
 //
-//   warmup     fault-free; every process snapshots the planted structures
+//   warmup     400 ms fault-free; every process snapshots the planted
+//              structures
 //   root drop  the planted structures become garbage
 //   quiet      fault-free; owners persist the root drops before any crash
 //   slices     the storm: loss, duplication and reordering (the network's
@@ -49,7 +50,7 @@ enum class Plant {
 enum class CrashPlan {
   kNone,
   /// In slice s, process (victim + s) % procs crashes at the slice start
-  /// and restarts from its snapshot after down_us.
+  /// and restarts from its snapshot 50 ms later.
   kRotate,
   /// `victim` crashes at the start of the first slice and never restarts.
   kForever,
@@ -66,7 +67,6 @@ struct FaultSweepParams {
   bool rotate_partition = false;
   CrashPlan crash = CrashPlan::kNone;
   ProcessId victim = 0;
-  SimTime down_us = 50'000;
   /// Period of the sentinel ring's kTouch invocations (0 = none). They give
   /// every process the request/reply history that suspicion feeds on.
   SimTime invoke_period_us = 0;
@@ -74,7 +74,6 @@ struct FaultSweepParams {
   SimTime peer_death_timeout_us = 0;
   bool batching = true;
   bool snapshot_pipeline = true;
-  SimTime warmup_us = 400'000;
   SimTime quiet_us = 50'000;
   SimTime slice_us = 400'000;
   std::size_t slices = 6;
