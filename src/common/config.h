@@ -35,14 +35,15 @@ struct ProcessConfig {
   /// run as an explicit decision, and even a parked timer would jump the
   /// clock (and thus every grace/expiry guard) when executed.
   bool periodic_collectors_enabled = true;
-  /// Period between local GC runs (each run also emits NewSetStubs).
+  /// Period between local GC runs (each run also sends NewSetStubs to the
+  /// contacts whose listing changed or is `scion_pending_grace_us` old).
   SimTime lgc_period_us = 20'000;
   /// AddScion handshake retry interval (message-loss tolerance).
   SimTime add_scion_retry_us = 5'000;
 
-  // --- adaptive degradation (per-peer health, backoff, load shedding) ---
-  /// Master switch. When off, every retry uses its fixed interval, no peer
-  /// is ever suspected and nothing is shed — the pre-adaptive baseline the
+  // --- adaptive degradation (per-peer health, backoff) ---
+  /// Master switch. When off, every retry uses its fixed interval and
+  /// candidate order ignores peer suspicion — the pre-adaptive baseline the
   /// chaos harness compares against.
   bool adaptive_faults = true;
   /// Cap on the per-candidate detection re-launch backoff (base is
@@ -66,7 +67,8 @@ struct ProcessConfig {
 
   /// Grace period protecting a *pending* (never yet confirmed by its holder)
   /// scion from NewSetStubs deletion while the reference may still be in
-  /// flight toward the holder.
+  /// flight toward the holder. Also the age at which a holder re-sends an
+  /// unchanged NewSetStubs listing.
   SimTime scion_pending_grace_us = 300'000;
   /// Owner-side expiry of never-confirmed scions, as a multiple of the
   /// grace period. Covers references whose delivery was lost outright (the

@@ -56,6 +56,7 @@ class Counter {
   X(scions_deleted_acyclic)       /* via NewSetStubs */                                      \
   X(scions_deleted_cyclic)        /* via DCDA cycle-found */                                 \
   X(new_set_stubs_sent)                                                                      \
+  X(new_set_stubs_unchanged)      /* NSS not sent: listing unchanged and fresh */            \
   X(new_set_stubs_received)                                                                  \
   X(add_scion_sent)                                                                          \
   X(add_scion_retries)                                                                       \
@@ -91,9 +92,8 @@ class Counter {
   X(bytes_sent)                                                                              \
   /* Adaptive degradation (per-peer health, backoff, load shedding). */                      \
   X(peer_suspect_transitions)     /* healthy→suspected flips observed */                     \
-  X(cdms_shed)                    /* CDM dropped at the sender (window full) */              \
-  X(new_set_stubs_shed)           /* NewSetStubs dropped at the sender */                    \
-  X(new_set_stubs_deferred)       /* periodic NSS skipped (suspected peer backoff) */        \
+  X(cdms_shed)                    /* CDM dropped at a full TCP write queue */                \
+  X(new_set_stubs_shed)           /* NewSetStubs dropped at a full TCP write queue */        \
   X(detections_deferred_backoff)  /* candidate skipped (relaunch backoff) */                 \
   X(candidates_deprioritized)     /* candidate ranked last (suspected first hop) */          \
   /* Permanent-failure eviction. */                                                          \

@@ -1,11 +1,13 @@
 // Acyclic distributed GC: the reference-listing protocol (Shapiro et al.).
 //
-// After each LGC run a process sends, to every process it has ever held a
+// After an LGC run a process sends, to every process it has ever held a
 // reference into, the complete set of its surviving stubs toward that
-// process (NewSetStubs). The receiver deletes scions no longer backed by a
-// stub. Messages are cumulative and idempotent; a per-holder export sequence
-// rejects stale (reordered) messages, and pending scions (reference still in
-// flight toward its future holder) are protected by a grace period.
+// process (NewSetStubs) when that set changed since the last one sent there
+// or that one is a grace period old. The receiver deletes scions no longer
+// backed by a stub. Messages are cumulative and idempotent; a per-holder
+// export sequence rejects stale (reordered) messages, and pending scions
+// (reference still in flight toward its future holder) are protected by a
+// grace period.
 #pragma once
 
 #include <map>

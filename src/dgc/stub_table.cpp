@@ -8,8 +8,21 @@ StubEntry& StubTable::ensure(RefId ref, ObjectId target, SimTime now) {
     it->second.ref = ref;
     it->second.target = target;
     it->second.created_at = now;
+    ++versions_[target.owner];
   }
   return it->second;
+}
+
+void StubTable::erase(RefId ref) {
+  auto it = entries_.find(ref);
+  if (it == entries_.end()) return;
+  ++versions_[it->second.target.owner];
+  entries_.erase(it);
+}
+
+std::uint64_t StubTable::listing_version(ProcessId owner) const {
+  auto it = versions_.find(owner);
+  return it == versions_.end() ? 0 : it->second;
 }
 
 StubEntry* StubTable::find(RefId ref) {

@@ -34,7 +34,12 @@ class StubTable {
   StubEntry* find(RefId ref);
   const StubEntry* find(RefId ref) const;
   bool contains(RefId ref) const { return entries_.contains(ref); }
-  void erase(RefId ref) { entries_.erase(ref); }
+  void erase(RefId ref);
+
+  /// Version of the listing toward `owner` (the refs a NewSetStubs to it
+  /// carries): inserting or erasing a stub toward `owner` advances it, and
+  /// it never returns to an earlier value. Equal versions, equal listings.
+  std::uint64_t listing_version(ProcessId owner) const;
 
   std::size_t size() const { return entries_.size(); }
   auto begin() { return entries_.begin(); }
@@ -44,6 +49,7 @@ class StubTable {
 
  private:
   std::map<RefId, StubEntry> entries_;  // ordered: deterministic iteration
+  std::map<ProcessId, std::uint64_t> versions_;
 };
 
 }  // namespace adgc

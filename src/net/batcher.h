@@ -14,10 +14,9 @@
 // end of a CDM burst (so batching never adds per-hop detection latency),
 // or on drain.
 //
-// Interaction with the PR 2 degradation layer: shedding runs BEFORE the
-// batcher in Process::send, so priorities are unchanged — a shed CDM never
-// enters a batch, and batches are never shed (they may carry acks, which
-// sit above the shedding line). Incarnation stamps are per-Envelope; a
+// Interaction with load shedding: only the TCP write queue sheds, and it
+// never sheds a batch (it may carry acks, which sit above the shedding
+// line). Incarnation stamps are per-Envelope; a
 // batch shares one stamp pair, and the delivery path drops stale envelopes
 // whole — exactly the required "batch dropped as a unit" semantics. A
 // crash discards open batches with the Process; queued control messages are

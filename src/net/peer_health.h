@@ -15,9 +15,8 @@
 // healthy peer is never suspected — accrual only runs while we are actually
 // trying to talk to it).
 //
-// The tracker also carries the per-peer outgoing-window bound used for
-// priority load shedding: `outstanding` is the sender-side estimate of
-// queued/in-flight traffic toward the peer, reset by any sign of life.
+// `outstanding` is the sender-side estimate of queued/in-flight traffic
+// toward the peer, reset by any sign of life.
 // Everything is deterministic; the backoff jitter draws from the caller's
 // seeded Rng.
 #pragma once
@@ -67,7 +66,7 @@ class PeerHealthTracker {
     /// sending to it.
     SimTime window_start = 0;
     /// Messages sent to the peer since it was last heard from — the
-    /// sender-side outgoing-window estimate the shedding bound applies to.
+    /// sender-side outgoing-window estimate the accrual rule runs on.
     std::uint32_t outstanding = 0;
     /// Sticky flag for metrics: whether the last verdict was "suspected".
     /// Cleared by any sign of life, so a recovered peer leaves the

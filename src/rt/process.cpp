@@ -16,14 +16,9 @@ namespace {
 /// AddScion re-sends before the export is abandoned (losing an export
 /// leaks its target, it never corrupts).
 constexpr int kAddScionMaxRetries = 20;
-/// Cap on the exponential backoff of AddScion re-sends and of NewSetStubs
-/// toward a suspected peer; each series starts at its fixed interval
-/// (`add_scion_retry_us`, `lgc_period_us`).
+/// Cap on the exponential backoff of AddScion re-sends, which starts at
+/// `add_scion_retry_us`.
 constexpr SimTime kBackoffCapUs = 200'000;
-/// Sender-side outgoing window (messages sent since the peer was last
-/// heard from) toward a suspected peer above which CDMs are shed; above
-/// twice it, NewSetStubs are shed too.
-constexpr std::uint32_t kPeerOutstandingLimit = 128;
 /// Peer-health slots idle (and not suspected) this long are pruned, which
 /// bounds survivor memory under peer churn.
 constexpr SimTime kPeerHealthIdlePruneUs = 600'000'000;
@@ -89,28 +84,6 @@ void Process::dcda_tick() {
 }
 
 void Process::send(ProcessId dst, const MessagePayload& msg) {
-  // Priority load shedding: when the outgoing window toward a *suspected*
-  // peer is full, shed CDMs first, then NewSetStubs. Both protocols are
-  // loss-tolerant (a shed CDM times out at the initiator and is retried; a
-  // shed NSS is superseded by the next full-state re-send), so shedding can
-  // only delay collection, never corrupt it. Invocations, replies and the
-  // AddScion handshake are never shed.
-  if (cfg_.adaptive_faults) {
-    const std::uint32_t window = peer_health_.outstanding(dst);
-    if (window >= kPeerOutstandingLimit && peer_health_.suspected(dst, env_.now())) {
-      if (std::holds_alternative<CdmMsg>(msg)) {
-        metrics().cdms_shed.add();
-        ADGC_TRACE("P" << pid_ << " shedding CDM to suspected P" << dst);
-        return;
-      }
-      if (window >= 2 * kPeerOutstandingLimit &&
-          std::holds_alternative<NewSetStubsMsg>(msg)) {
-        metrics().new_set_stubs_shed.add();
-        ADGC_TRACE("P" << pid_ << " shedding NewSetStubs to suspected P" << dst);
-        return;
-      }
-    }
-  }
   peer_health_.on_send(dst, env_.now());
   // Control-plane coalescing: batchable kinds (CDM, NewSetStubs,
   // AddScionAck) queue into the peer's open batch; anything else is
@@ -661,46 +634,40 @@ void Process::run_lgc() {
              static_cast<std::uint64_t>(res.objects_reclaimed),
              static_cast<std::uint64_t>(env_.now() - vt_start)});
   if (!cfg_.dgc_enabled) return;
-  // One stub-table pass builds the payload for every contact (the per-peer
-  // batcher then coalesces each NSS with whatever control traffic is already
-  // queued toward that peer).
-  std::map<ProcessId, NewSetStubsMsg> all_nss =
-      build_all_new_set_stubs(stubs_, contacts_);
-  std::uint64_t nss_sent = 0;
+  // A contact is due a NewSetStubs when its listing changed since the last
+  // one sent to it, or when that one is a grace period old. The refresh
+  // repairs a lost NSS and lists every held reference about
+  // `scion_pending_expiry_factor` times before an unconfirmed scion (one an
+  // owner restart restored, say) could expire as an orphan.
+  std::set<ProcessId> due;
   for (ProcessId dst : contacts_) {
-    if (cfg_.adaptive_faults) {
-      // Toward a suspected peer, space the periodic NSS re-sends out
-      // exponentially instead of hammering every LGC period. NSS is an
-      // idempotent full-state replacement, so deferral only delays acyclic
-      // collection at the peer — it cannot lose state.
-      NssGate& gate = nss_gates_[dst];
-      if (peer_health_.suspected(dst, env_.now())) {
-        if (env_.now() < gate.next_ok) {
-          metrics().new_set_stubs_deferred.add();
-          continue;
-        }
-        const SimTime spacing = backoff_delay(cfg_.lgc_period_us, kBackoffCapUs,
-                                              static_cast<int>(gate.level), env_.rng());
-        gate.next_ok = env_.now() + spacing;
-        if (gate.level < 16) ++gate.level;
-      } else {
-        gate.level = 0;
-        gate.next_ok = 0;
-      }
+    const auto it = nss_sent_.find(dst);
+    if (it == nss_sent_.end() || it->second.version != stubs_.listing_version(dst) ||
+        env_.now() >= it->second.at + cfg_.scion_pending_grace_us) {
+      due.insert(dst);
+    } else {
+      metrics().new_set_stubs_unchanged.add();
     }
-    // The export sequence is epoch-stamped with the incarnation so the first
-    // message after a restart (local counter back at 1) still sorts above
-    // everything the lost incarnation sent.
-    NewSetStubsMsg& msg = all_nss.at(dst);
-    msg.export_seq = incarnation_epoch(incarnation_, ++nss_seq_[dst]);
-    metrics().new_set_stubs_sent.add();
-    ++nss_sent;
-    send(dst, msg);
   }
-  if (nss_sent > 0) {
-    obs::emit(env_.trace(),
-              {env_.now(), pid_, obs::EventType::kNssRound, 0, 0, nss_sent, 0});
-  }
+  if (due.empty()) return;
+  // One stub-table pass builds the payload for every due contact (the
+  // per-peer batcher then coalesces each NSS with whatever control traffic
+  // is already queued toward that peer).
+  for (auto& [dst, msg] : build_all_new_set_stubs(stubs_, due)) send_new_set_stubs(dst, msg);
+  obs::emit(env_.trace(),
+            {env_.now(), pid_, obs::EventType::kNssRound, 0, 0, due.size(), 0});
+}
+
+void Process::send_new_set_stubs(ProcessId dst, NewSetStubsMsg& msg) {
+  // The export sequence is epoch-stamped with the incarnation so the first
+  // message after a restart (local counter back at 1) still sorts above
+  // everything the lost incarnation sent.
+  NssSent& sent = nss_sent_[dst];
+  msg.export_seq = incarnation_epoch(incarnation_, ++sent.seq);
+  sent.version = stubs_.listing_version(dst);
+  sent.at = env_.now();
+  metrics().new_set_stubs_sent.add();
+  send(dst, msg);
 }
 
 SnapshotData Process::capture_for_snapshot(std::uint64_t* version_out,
@@ -829,17 +796,11 @@ void Process::on_evicted_nack(ProcessId src, const EvictedNackMsg& msg) {
 
 void Process::on_nss_solicit(ProcessId src) {
   if (!cfg_.dgc_enabled) return;
-  // Answer unconditionally and immediately, bypassing the suspected-peer
-  // NSS deferral gate: the solicitor is about to convict us on silence, and
-  // an empty set is as meaningful an answer as a full one — it expires
-  // every scion we no longer (or never) back, e.g. after we restarted from
-  // a snapshot predating the stubs.
-  std::map<ProcessId, NewSetStubsMsg> reply =
-      build_all_new_set_stubs(stubs_, {src});
-  NewSetStubsMsg& msg = reply.at(src);
-  msg.export_seq = incarnation_epoch(incarnation_, ++nss_seq_[src]);
-  metrics().new_set_stubs_sent.add();
-  send(src, msg);
+  // Answer at once, even when the listing is unchanged: the solicitor is
+  // about to convict us on silence, and an empty set is as meaningful an
+  // answer as a full one — it expires every scion we no longer (or never)
+  // back, e.g. after we restarted from a snapshot predating the stubs.
+  send_new_set_stubs(src, build_all_new_set_stubs(stubs_, {src}).at(src));
 }
 
 void Process::maybe_evict_peers() {
@@ -970,8 +931,7 @@ void Process::evict_peer(ProcessId peer) {
   // 5. Reference-listing and transport-side state toward the peer, so
   //    survivor memory stays bounded under churn.
   contacts_.erase(peer);
-  nss_seq_.erase(peer);
-  nss_gates_.erase(peer);
+  nss_sent_.erase(peer);
   nss_solicits_.erase(peer);
   for (auto it = inflight_calls_.begin(); it != inflight_calls_.end();) {
     it = it->second.first == peer ? inflight_calls_.erase(it) : ++it;

@@ -233,18 +233,20 @@ class Process {
     SimTime last_sent = 0;       // RTT sample baseline for the ack
   };
 
-  /// Per-contact NewSetStubs pacing toward a suspected peer: while the peer
-  /// is suspected, periodic re-sends are spaced out exponentially instead of
-  /// every LGC period (NSS is an idempotent full-state replacement, so
-  /// deferral only delays acyclic collection).
-  struct NssGate {
-    std::uint32_t level = 0;
-    SimTime next_ok = 0;
+  /// The last NewSetStubs sent to a contact: its export sequence, the
+  /// listing version it carried, and when it left.
+  struct NssSent {
+    std::uint64_t seq = 0;
+    std::uint64_t version = 0;
+    SimTime at = 0;
   };
 
   RefId fresh_ref_id() { return make_ref_id(pid_, next_ref_counter_++); }
 
   void send(ProcessId dst, const MessagePayload& msg);
+  /// Stamps `msg` with the next export sequence toward `dst`, records the
+  /// listing version it carries and sends it.
+  void send_new_set_stubs(ProcessId dst, NewSetStubsMsg& msg);
 
   // Message handlers.
   void dispatch(ProcessId src, const MessagePayload& msg);
@@ -313,14 +315,13 @@ class Process {
   std::uint64_t next_ref_counter_ = 1;
   std::uint64_t next_call_id_ = 1;
   std::uint64_t next_handshake_ = 1;
-  std::map<ProcessId, std::uint64_t> nss_seq_;  // NewSetStubs export sequence
-  std::set<ProcessId> contacts_;                // processes that ever held our stubs' targets
+  std::map<ProcessId, NssSent> nss_sent_;
+  std::set<ProcessId> contacts_;  // processes that ever held our stubs' targets
 
   std::map<std::uint64_t, PendingInvoke> pending_invokes_;
   std::map<std::uint64_t, Handshake> handshakes_;
   PeerHealthTracker peer_health_{cfg_, env_.metrics()};
   std::unique_ptr<Batcher> batcher_;
-  std::map<ProcessId, NssGate> nss_gates_;
   /// call_id → (callee, send time); RTT samples for replies. Bounded; calls
   /// whose reply never arrives age out by insertion order (ids ascend).
   std::map<std::uint64_t, std::pair<ProcessId, SimTime>> inflight_calls_;

@@ -161,5 +161,44 @@ TEST(FaultTolerance, CdmLossOnlyDelaysDetection) {
   EXPECT_GE(rt.total_metrics().detections_timed_out.get(), 1u);
 }
 
+// A holder that has stopped invoking is no fault: its owner only hears its
+// NewSetStubs and owes it no answer, so the holder may suspect the owner.
+// Nothing may hold garbage back on that suspicion. Default configuration.
+TEST(QuietHolder, DroppedReferenceCollectedAfterLongQuiet) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    RuntimeConfig cfg;
+    cfg.seed = seed;
+    Runtime rt(2, cfg);
+    const ObjectId l{0, rt.proc(0).create_object()};
+    const ObjectId n{1, rt.proc(1).create_object()};
+    rt.proc(0).add_root(l.seq);
+    const RefId ref = rt.link(l, n);
+    rt.proc(0).invoke(l.seq, ref, InvokeEffect::kTouch, {}, /*want_reply=*/true);
+    rt.run_for(120'000'000);
+    ASSERT_TRUE(rt.proc(1).heap().exists(n.seq)) << "seed=" << seed;
+    rt.proc(0).remove_remote_ref(l.seq, ref);
+    rt.run_for(5'000'000);
+    EXPECT_FALSE(rt.proc(1).heap().exists(n.seq)) << "seed=" << seed;
+  }
+}
+
+TEST(QuietHolder, RingDroppedAfterLongQuietIsCollected) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    RuntimeConfig cfg;
+    cfg.seed = seed;
+    Runtime rt(3, cfg);
+    const sim::Ring ring = sim::build_ring(rt, 3, 1);
+    for (ProcessId pid = 0; pid < 3; ++pid) {
+      rt.proc(pid).invoke(ring.heads[pid].seq, ring.ring_refs[pid], InvokeEffect::kTouch, {},
+                          /*want_reply=*/true);
+    }
+    rt.run_for(60'000'000);
+    ASSERT_EQ(sim::global_stats(rt).live_objects, 4u) << "seed=" << seed;
+    rt.proc(0).remove_root(ring.anchors[0].seq);
+    rt.run_for(10'000'000);
+    EXPECT_EQ(sim::global_stats(rt).total_objects, 0u) << "seed=" << seed;
+  }
+}
+
 }  // namespace
 }  // namespace adgc

@@ -5,6 +5,7 @@
 
 #include "src/rt/runtime.h"
 #include "src/sim/harness.h"
+#include "src/sim/scenarios.h"
 
 namespace adgc {
 namespace {
@@ -134,6 +135,91 @@ TEST(ReservedTags, DroppedWithoutHandler) {
   owner.run_lgc();
   EXPECT_TRUE(owner.scions().contains(ref));
   EXPECT_TRUE(owner.heap().exists(x));
+}
+
+// NewSetStubs follow listing changes: an LGC sends a contact its listing
+// only when it changed since the last one sent there, or when that one is
+// a grace period old (10 ms under manual_config).
+class NssListing : public ::testing::Test {
+ protected:
+  NssListing() : rt(2, sim::manual_config(13)) {
+    h = rt.proc(0).create_object();
+    rt.proc(0).add_root(h);
+    x = rt.proc(1).create_object();
+    ref = rt.link(ObjectId{0, h}, ObjectId{1, x});
+    EXPECT_EQ(lgc(), 1u) << "a new contact gets its first listing";
+  }
+
+  std::uint64_t sent() { return rt.proc(0).metrics().new_set_stubs_sent.get(); }
+
+  /// Runs the holder's LGC, lets 1 ms pass and returns the NSS it sent.
+  std::uint64_t lgc() {
+    const std::uint64_t before = sent();
+    rt.proc(0).run_lgc();
+    rt.run_for(1'000);
+    return sent() - before;
+  }
+
+  Runtime rt;
+  ObjectSeq h = kNoObject;
+  ObjectSeq x = kNoObject;
+  RefId ref = kNoRef;
+};
+
+TEST_F(NssListing, UnchangedListingSendsNothing) {
+  const Counter& unchanged = rt.proc(0).metrics().new_set_stubs_unchanged;
+  EXPECT_EQ(unchanged.get(), 0u);
+  EXPECT_EQ(lgc(), 0u);
+  EXPECT_EQ(lgc(), 0u);
+  EXPECT_EQ(unchanged.get(), 2u);
+}
+
+TEST_F(NssListing, AddedOrRemovedStubSendsOnNextLgc) {
+  const ObjectSeq y = rt.proc(1).create_object();
+  const RefId ref2 = rt.link(ObjectId{0, h}, ObjectId{1, y});
+  EXPECT_EQ(lgc(), 1u) << "a stub was added";
+  EXPECT_TRUE(rt.proc(1).scions().find(ref2)->confirmed);
+
+  rt.proc(0).remove_remote_ref(h, ref);
+  EXPECT_EQ(lgc(), 1u) << "a stub was removed";
+  EXPECT_FALSE(rt.proc(1).scions().contains(ref));
+
+  rt.proc(0).remove_remote_ref(h, ref2);
+  EXPECT_EQ(lgc(), 1u) << "the empty listing after the last stub goes";
+  EXPECT_EQ(rt.proc(1).scions().size(), 0u);
+}
+
+TEST_F(NssListing, UnchangedListingRefreshedOnceGraceOld) {
+  rt.run_for(rt.config().proc.scion_pending_grace_us);
+  EXPECT_EQ(lgc(), 1u);
+  EXPECT_EQ(lgc(), 0u) << "the refresh restarts the clock";
+}
+
+TEST_F(NssListing, SolicitAnsweredAtOnceAndRestartsTheClock) {
+  const SimTime grace = rt.config().proc.scion_pending_grace_us;
+  rt.run_for(grace / 2);
+  Envelope solicit;
+  solicit.src = 1;
+  solicit.dst = 0;
+  solicit.bytes = encode_message(NssSolicitMsg{});
+  const std::uint64_t before = sent();
+  rt.proc(0).deliver(solicit);
+  EXPECT_EQ(sent(), before + 1) << "answered at once, listing unchanged";
+  // The LGC's listing is now a grace old; the answer is not.
+  rt.run_for(grace / 2 + 1'000);
+  EXPECT_EQ(lgc(), 0u);
+}
+
+// A quiet live ring lists each stub once, then refreshes it once a grace
+// period. One NSS per contact per LGC would be about 6,000 here.
+TEST(NssListingRing, QuiescentRingSendsOnlyRefreshes) {
+  Runtime rt(3, sim::fast_config(17));
+  sim::build_ring(rt, 3, 1);
+  const SimTime span = 10'000'000;
+  rt.run_for(span);
+  EXPECT_EQ(sim::global_stats(rt).live_objects, 4u);
+  const SimTime grace = rt.config().proc.scion_pending_grace_us;
+  EXPECT_LE(rt.total_metrics().new_set_stubs_sent.get(), 3 * (span / grace + 2));
 }
 
 TEST_F(Rmi, NoReplyModeBumpsOnce) {

@@ -152,5 +152,30 @@ TEST(StubTable, EnsureIsIdempotent) {
   EXPECT_EQ(b.created_at, 5u);
 }
 
+TEST(StubTable, ListingVersionTracksInsertAndErase) {
+  StubTable stubs;
+  const RefId r1 = make_ref_id(0, 1);
+  EXPECT_EQ(stubs.listing_version(1), 0u);
+  stubs.ensure(r1, ObjectId{1, 10}, 0);
+  const std::uint64_t v1 = stubs.listing_version(1);
+  EXPECT_GT(v1, 0u) << "insert advances";
+
+  stubs.ensure(r1, ObjectId{1, 10}, 5);
+  stubs.ensure(make_ref_id(0, 2), ObjectId{2, 20}, 0);
+  stubs.erase(make_ref_id(0, 9));
+  EXPECT_EQ(stubs.listing_version(1), v1)
+      << "re-ensure of a present ref, another owner's stub and an absent erase";
+
+  stubs.erase(r1);
+  const std::uint64_t v2 = stubs.listing_version(1);
+  EXPECT_GT(v2, v1) << "erase advances";
+  stubs.ensure(r1, ObjectId{1, 10}, 6);
+  EXPECT_GT(stubs.listing_version(1), v2) << "the same listing again is still a new version";
+
+  const StubTable copy = stubs;
+  EXPECT_EQ(copy.listing_version(1), stubs.listing_version(1));
+  EXPECT_EQ(copy.listing_version(2), stubs.listing_version(2));
+}
+
 }  // namespace
 }  // namespace adgc

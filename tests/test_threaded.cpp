@@ -172,25 +172,32 @@ TEST(Threaded, LossyNetworkStillConverges) {
   RuntimeConfig cfg = threaded_config(5);
   cfg.net.loss_probability = 0.10;
   ThreadedRuntime rt(3, cfg);
-  std::vector<ObjectSeq> objs(3);
+  // One ring is collected in about a dozen control messages, so several
+  // rings at once give the 10% loss enough traffic to hit.
+  constexpr std::size_t kRings = 10;
+  std::vector<std::vector<ObjectSeq>> rings(kRings, std::vector<ObjectSeq>(3));
   // Root the objects during construction so the free-running LGCs cannot
   // reclaim them mid-build; unroot afterwards.
-  for (ProcessId pid = 0; pid < 3; ++pid) {
-    rt.post_sync(pid, [&, pid](Process& p) {
-      objs[pid] = p.create_object();
-      p.add_root(objs[pid]);
-    });
+  for (auto& objs : rings) {
+    for (ProcessId pid = 0; pid < 3; ++pid) {
+      rt.post_sync(pid, [&, pid](Process& p) {
+        objs[pid] = p.create_object();
+        p.add_root(objs[pid]);
+      });
+    }
+    for (ProcessId pid = 0; pid < 3; ++pid) {
+      const ProcessId next = (pid + 1) % 3;
+      ExportedRef er;
+      rt.post_sync(next, [&](Process& p) { er = p.export_own_object(objs[next], pid); });
+      rt.post_sync(pid, [&](Process& p) { p.install_ref(objs[pid], er); });
+    }
   }
-  for (ProcessId pid = 0; pid < 3; ++pid) {
-    const ProcessId next = (pid + 1) % 3;
-    ExportedRef er;
-    rt.post_sync(next, [&](Process& p) { er = p.export_own_object(objs[next], pid); });
-    rt.post_sync(pid, [&](Process& p) { p.install_ref(objs[pid], er); });
+  for (const auto& objs : rings) {
+    for (ProcessId pid = 0; pid < 3; ++pid) {
+      rt.post_sync(pid, [&, pid](Process& p) { p.remove_root(objs[pid]); });
+    }
   }
-  for (ProcessId pid = 0; pid < 3; ++pid) {
-    rt.post_sync(pid, [&, pid](Process& p) { p.remove_root(objs[pid]); });
-  }
-  // Unrooted ring: pure distributed garbage under 10% loss.
+  // Unrooted rings: pure distributed garbage under 10% loss.
   bool collected = false;
   for (int i = 0; i < 200 && !collected; ++i) {
     sleep_ms(50);

@@ -242,11 +242,8 @@ int main(int argc, char** argv) {
     const Metrics& m = res.metrics;
     std::printf("  crashes=%zu recovered=%zu messages_lost=%llu\n", res.crashes,
                 res.recovered, static_cast<unsigned long long>(m.messages_lost.get()));
-    std::printf("  suspects=%llu cdms_shed=%llu nss_shed=%llu deferred=%llu "
-                "abandoned_handshakes=%llu\n",
+    std::printf("  suspects=%llu deferred=%llu abandoned_handshakes=%llu\n",
                 static_cast<unsigned long long>(m.peer_suspect_transitions.get()),
-                static_cast<unsigned long long>(m.cdms_shed.get()),
-                static_cast<unsigned long long>(m.new_set_stubs_shed.get()),
                 static_cast<unsigned long long>(m.detections_deferred_backoff.get()),
                 static_cast<unsigned long long>(m.add_scion_abandoned.get()));
     if (!res.ok()) {
@@ -333,12 +330,9 @@ int main(int argc, char** argv) {
   const Metrics totals = rt.total_metrics();
   std::printf("final: objects=%zu oracle-live=%zu garbage=%zu stubs=%zu scions=%zu\n",
               st.total_objects, live.size(), st.garbage_objects, st.stubs, st.scions);
-  std::printf("degradation: abandoned_handshakes=%llu suspects=%llu cdms_shed=%llu "
-              "nss_shed=%llu\n",
+  std::printf("degradation: abandoned_handshakes=%llu suspects=%llu\n",
               static_cast<unsigned long long>(totals.add_scion_abandoned.get()),
-              static_cast<unsigned long long>(totals.peer_suspect_transitions.get()),
-              static_cast<unsigned long long>(totals.cdms_shed.get()),
-              static_cast<unsigned long long>(totals.new_set_stubs_shed.get()));
+              static_cast<unsigned long long>(totals.peer_suspect_transitions.get()));
   std::printf("\nprotocol metrics:\n%s", totals.report("  ").c_str());
 
   if (!opt.obs_dump.empty()) {
