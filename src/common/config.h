@@ -49,20 +49,23 @@ struct ProcessConfig {
   /// Cap on the per-candidate detection re-launch backoff (base is
   /// `dcda_scan_period_us`, doubled per consecutive timeout).
   SimTime detection_backoff_cap_us = 4'000'000;
-  /// A peer is suspected after this many retry timers fired unanswered, or
-  /// by the phi-accrual rule (see src/net/peer_health.h).
+  /// A peer is suspected once this many requests (retries, refused
+  /// connects, NssSolicit probes) went unanswered since it was last heard
+  /// from (see src/net/peer_health.h).
   std::uint32_t suspect_after_failures = 3;
 
   // --- permanent-failure eviction ---
-  /// Escalates sustained suspicion into committed death: a peer that has
-  /// been continuously suspected for this long, with unanswered retries or
-  /// NssSolicit probes behind the suspicion, is evicted (its scions
-  /// dropped, stubs toward it retired, detections crossing it aborted,
-  /// transport/batcher state purged) and tombstoned by incarnation. Must
-  /// sit well above the longest partition the deployment should ride out: a
-  /// false positive degrades to a forced crash/restart of the accused peer,
-  /// never to a dangling reference, but restarts are not free. 0 disables
-  /// eviction entirely.
+  /// Escalates unanswered requests into committed death. Every contact and
+  /// scion holder silent for one probe interval, this timeout divided by
+  /// `suspect_after_failures + 1`, is sent one NssSolicit per interval; a
+  /// probe unanswered for an interval is a failure strike. A suspected peer
+  /// silent for this whole timeout is evicted (its scions dropped, stubs
+  /// toward it retired, detections crossing it aborted, transport/batcher
+  /// state purged) and tombstoned by incarnation: about one timeout after
+  /// it was last heard from. An outage shorter than the timeout minus one
+  /// interval is ridden out. A false positive degrades to a forced
+  /// crash/restart of the accused peer, never to a dangling reference, but
+  /// restarts are not free. 0 disables eviction entirely.
   SimTime peer_death_timeout_us = 0;
 
   /// Grace period protecting a *pending* (never yet confirmed by its holder)

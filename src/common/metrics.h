@@ -91,7 +91,7 @@ class Counter {
   X(messages_duplicated)                                                                     \
   X(bytes_sent)                                                                              \
   /* Adaptive degradation (per-peer health, backoff, load shedding). */                      \
-  X(peer_suspect_transitions)     /* healthy→suspected flips observed */                     \
+  X(peer_suspect_transitions)     /* failures crossed suspect_after_failures */              \
   X(cdms_shed)                    /* CDM dropped at a full TCP write queue */                \
   X(new_set_stubs_shed)           /* NewSetStubs dropped at a full TCP write queue */        \
   X(detections_deferred_backoff)  /* candidate skipped (relaunch backoff) */                 \
@@ -104,7 +104,7 @@ class Counter {
   X(eviction_nacks_sent)          /* Evicted NACKs emitted at rejection */                   \
   X(eviction_nacks_received)      /* zombie side: told to restart */                         \
   X(messages_rejected_evicted)    /* traffic from a tombstoned incarnation */                \
-  X(nss_solicits_sent)            /* lease probes to silent scion holders */                 \
+  X(nss_solicits_sent)            /* probes to silent contacts and holders */                \
   X(peer_health_slots)            /* gauge: tracked peers after last LGC */                  \
   X(peer_health_slots_pruned)     /* idle slots reclaimed */                                 \
   /* Control-plane batching (per-peer coalescing of CDM / NSS / AddScionAck). */             \

@@ -43,7 +43,7 @@ std::vector<RefId> select_candidates(const ScionTable& scions, const SummarizedG
       // is enough to make it a bad use of the in-flight budget right now.
       for (RefId stub_ref : sum->stubs_from) {
         const StubSummary* stub = snap->stub(stub_ref);
-        if (stub && health->peers->suspected(stub->target.owner, now)) {
+        if (stub && health->peers->suspected(stub->target.owner)) {
           e.suspect_hop = true;
           break;
         }

@@ -29,7 +29,7 @@ namespace adgc {
 /// chance of arriving — and candidates whose previous detections timed out
 /// are skipped entirely until their backoff deadline passes.
 struct CandidateHealthView {
-  PeerHealthTracker* peers = nullptr;  // non-const: suspected() updates state
+  const PeerHealthTracker* peers = nullptr;
   /// Per-candidate earliest re-launch time (exponential backoff after
   /// timeouts), maintained by the process.
   const std::map<RefId, SimTime>* not_before = nullptr;

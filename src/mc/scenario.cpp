@@ -160,10 +160,11 @@ class RaceScenario final : public Scenario {
 // one-microsecond peer_death_timeout with a one-strike suspicion threshold,
 // so a handful of kLgc decisions at P0 walk the whole escalation — arm the
 // watch, solicit P1's NewSetStubs, score the unanswered probe as a strike,
-// then convict the sustained suspicion into a committed eviction of P1,
-// dropping the scion and tombstoning P1's incarnation. (Whether the probe
-// goes unanswered is itself a scheduling choice: the Explorer decides the
-// fate of the NssSolicit and of P1's answer.) The script keeps invoke/reply
+// then convict the silent suspect into a committed eviction of P1,
+// dropping the scion and tombstoning P1's incarnation. P1 watches its
+// contact P0 the same way and may evict it first. (Whether a probe goes
+// unanswered is itself a scheduling choice: the Explorer decides the fate
+// of each NssSolicit and of its answer.) The script keeps invoke/reply
 // traffic from P1 in flight so the Explorer can deliver pre-eviction
 // messages after the tombstone is in place (Evicted NACK path). Safety must
 // hold throughout: eviction may only ever reclaim objects reachable through
@@ -181,6 +182,8 @@ class EvictScenario final : public Scenario {
   }
   std::size_t script_size() const override { return 2; }
   void apply_script(Runtime& rt, std::size_t) override {
+    // The holder may have evicted the owner first, retiring the stub.
+    if (!rt.proc(1).stubs().contains(h_to_x_)) return;
     rt.proc(1).invoke(h_.seq, h_to_x_, InvokeEffect::kTouch, {},
                       /*want_reply=*/true);
   }

@@ -165,9 +165,9 @@ void NodeRuntime::start() {
     enqueue(std::function<void()>([this, peer] { proc_->on_peer_crashed(peer); }));
   });
   transport_->set_connect_failed([this](ProcessId peer) {
-    // Bridge onto the loop thread: a refused/unreachable connect counts as a
-    // timed-out interaction for phi-accrual suspicion — it is the only
-    // failure signal a SIGKILLed peer ever produces.
+    // Bridge onto the loop thread: a refused/unreachable connect is a
+    // request the peer left unanswered, one failure strike toward suspicion
+    // on top of the eviction escalation's unanswered NssSolicit probes.
     enqueue(std::function<void()>([this, peer] {
       proc_->peer_health().on_timeout(peer, env_->now());
     }));
@@ -295,7 +295,7 @@ void NodeRuntime::refresh_health_cache() {
   // Loop thread: the only thread allowed to read the peer-health tracker.
   if (proc_) {
     const SimTime now = env_->now();
-    PeerHealthTracker& health = proc_->peer_health();
+    const PeerHealthTracker& health = proc_->peer_health();
     std::ostringstream os;
     os << "node P" << opts_.pid << " inc=" << incarnation_
        << (self_evicted() ? " SELF-EVICTED" : " ok") << "\n";
@@ -303,11 +303,14 @@ void NodeRuntime::refresh_health_cache() {
        << " suspected=" << health.suspected_count()
        << " tombstones=" << health.eviction_tombstones().size() << "\n";
     for (ProcessId peer : health.known_peers()) {
-      os << "peer P" << peer << " srtt_us=" << static_cast<std::uint64_t>(health.srtt_us(peer))
-         << " failures=" << health.consecutive_failures(peer)
-         << " outstanding=" << health.outstanding(peer)
-         << " phi=" << health.phi(peer, now)
-         << (health.suspected(peer, now) ? " SUSPECTED" : "") << "\n";
+      os << "peer P" << peer << " failures=" << health.consecutive_failures(peer)
+         << " last_heard_ms=";
+      if (const SimTime heard = health.last_heard(peer); heard > 0) {
+        os << (now - heard) / 1000;
+      } else {
+        os << "never";
+      }
+      os << (health.suspected(peer) ? " SUSPECTED" : "") << "\n";
     }
     for (const auto& [peer, inc] : health.eviction_tombstones()) {
       os << "evicted P" << peer << " inc<=" << inc << "\n";

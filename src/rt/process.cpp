@@ -84,7 +84,6 @@ void Process::dcda_tick() {
 }
 
 void Process::send(ProcessId dst, const MessagePayload& msg) {
-  peer_health_.on_send(dst, env_.now());
   // Control-plane coalescing: batchable kinds (CDM, NewSetStubs,
   // AddScionAck) queue into the peer's open batch; anything else is
   // latency-critical and flushes that batch first, preserving the relative
@@ -95,7 +94,6 @@ void Process::send(ProcessId dst, const MessagePayload& msg) {
 }
 
 void Process::send_encoded(ProcessId dst, std::vector<std::byte> bytes) {
-  peer_health_.on_send(dst, env_.now());
   batcher_->flush_peer(dst, Batcher::FlushReason::kPriority);
   env_.send_encoded(dst, std::move(bytes));
 }
@@ -198,7 +196,6 @@ ExportedRef Process::begin_third_party_export(RefId held, ProcessId receiver,
   hs.msg.target_seq = stub->target.seq;
   hs.msg.holder = receiver;
   hs.msg.handshake = hs.id;
-  hs.last_sent = env_.now();
   pin_stub(held);
   send(hs.owner, hs.msg);
   metrics().add_scion_sent.add();
@@ -230,7 +227,6 @@ void Process::retry_handshake(std::uint64_t id) {
     return;
   }
   metrics().add_scion_retries.add();
-  hs.last_sent = env_.now();
   send(hs.owner, hs.msg);
   env_.schedule(handshake_retry_delay(hs.retries), [this, id] { retry_handshake(id); });
 }
@@ -278,7 +274,7 @@ void Process::really_send_invoke(PendingInvoke&& inv) {
   msg.call_id = inv.call_id;
   metrics().invocations_sent.add();
   if (msg.want_reply) {
-    // Remember the send time: the reply is an RTT sample for the callee.
+    // Remember the send time: the reply is an rmi_rtt_us sample.
     while (inflight_calls_.size() >= 512) inflight_calls_.erase(inflight_calls_.begin());
     inflight_calls_.emplace(msg.call_id,
                             std::make_pair(stub->target.owner, env_.now()));
@@ -498,10 +494,7 @@ void Process::on_invoke(ProcessId src, const InvokeMsg& msg) {
 void Process::on_reply(ProcessId src, const ReplyMsg& msg) {
   metrics().replies_received.add();
   if (auto it = inflight_calls_.find(msg.call_id); it != inflight_calls_.end()) {
-    if (it->second.first == src) {
-      metrics().rmi_rtt_us.record(env_.now() - it->second.second);
-      peer_health_.on_response(src, env_.now() - it->second.second, env_.now());
-    }
+    if (it->second.first == src) metrics().rmi_rtt_us.record(env_.now() - it->second.second);
     inflight_calls_.erase(it);
   }
   if (!cfg_.dgc_enabled) return;
@@ -538,12 +531,9 @@ void Process::on_add_scion(ProcessId src, const AddScionMsg& msg) {
   send(src, ack);
 }
 
-void Process::on_add_scion_ack(ProcessId src, const AddScionAckMsg& msg) {
+void Process::on_add_scion_ack(ProcessId /*src*/, const AddScionAckMsg& msg) {
   auto it = handshakes_.find(msg.handshake);
   if (it == handshakes_.end()) return;  // duplicate ack
-  if (it->second.last_sent > 0 && src == it->second.owner) {
-    peer_health_.on_response(src, env_.now() - it->second.last_sent, env_.now());
-  }
   const std::uint64_t call_id = it->second.call_id;
   unpin_stub(it->second.pinned_stub);
   handshakes_.erase(it);
@@ -813,47 +803,42 @@ void Process::maybe_evict_peers() {
     evict_watch_since_ = now > 0 ? now : 1;
     return;
   }
-  // Eviction proper requires suspicion sustained for a full timeout AND
-  // backed by failures (unanswered retries or probes). Silence alone never
-  // convicts: it cannot distinguish a dead peer from one that owes us
-  // nothing — an owner whose holder stopped invoking only ever receives our
-  // NewSetStubs, and a holder that restarted from a snapshot predating our
-  // stubs legitimately never speaks to us again — nor from a partitioned-
-  // but-alive one. Suspects and scion holders silent past the timeout are
-  // instead probed with NssSolicit: a live peer answers with its
-  // authoritative (possibly empty) NewSetStubs, which clears the suspicion
-  // and expires any orphan scions it no longer backs; a dead one leaves the
-  // probe unanswered, which scores a failure strike.
-  std::set<ProcessId> holders;
+  // Silence alone never convicts: it cannot tell a dead peer from one that
+  // owes us nothing — an owner whose holder stopped invoking only ever
+  // receives our NewSetStubs, and a holder that restarted from a snapshot
+  // predating our stubs legitimately never speaks to us again — nor from a
+  // partitioned-but-alive one. So silence is turned into requests: every
+  // contact and scion holder silent for one probe interval is sent an
+  // NssSolicit, one per interval. A live peer answers at once with its
+  // authoritative (possibly empty) NewSetStubs, which also expires any
+  // orphan scions it no longer backs; a probe still unanswered an interval
+  // later scores a failure strike. A suspected peer (enough strikes or
+  // other unanswered requests) silent for the whole timeout is convicted,
+  // about one timeout after it was last heard from.
+  const SimTime interval =
+      std::max<SimTime>(timeout / (SimTime{cfg_.suspect_after_failures} + 1), 1);
+  std::set<ProcessId> watched = contacts_;
   for (const auto& [ref, scion] : scions_) {
     (void)ref;
-    if (scion.holder != kNoProcess) holders.insert(scion.holder);
+    if (scion.holder != kNoProcess) watched.insert(scion.holder);
   }
-  std::set<ProcessId> candidates = peer_health_.known_peers();
-  candidates.insert(holders.begin(), holders.end());
-  for (ProcessId peer : candidates) {
+  for (ProcessId peer : watched) {
     if (peer == pid_ || peer_health_.evicted_incarnation(peer)) continue;
-    const bool suspected = peer_health_.suspected(peer, now);
-    bool dead = false;
-    if (suspected && peer_health_.consecutive_failures(peer) >= cfg_.suspect_after_failures) {
-      const SimTime since = peer_health_.suspected_since(peer);
-      dead = since > 0 && now >= since + timeout;
+    const SimTime heard = peer_health_.last_heard(peer);
+    const SimTime silent_since = std::max(heard, evict_watch_since_);
+    if (now < silent_since + interval) continue;
+    const auto probe = nss_solicits_.find(peer);
+    const bool probe_due = probe == nss_solicits_.end() || now >= probe->second + interval;
+    if (probe_due && probe != nss_solicits_.end() && heard < probe->second) {
+      peer_health_.on_timeout(peer, now);  // unanswered for a whole interval
     }
-    if (!dead && (suspected || holders.contains(peer))) {
-      const SimTime heard = peer_health_.last_heard(peer);
-      const SimTime baseline = std::max(heard, evict_watch_since_);
-      if (now >= baseline + timeout) {
-        const auto probe = nss_solicits_.find(peer);
-        if (probe != nss_solicits_.end() && heard < probe->second) {
-          // The previous probe went unanswered for a whole timeout: strike.
-          peer_health_.on_timeout(peer, now);
-        }
-        metrics().nss_solicits_sent.add();
-        send(peer, NssSolicitMsg{});
-        nss_solicits_[peer] = now;
-      }
+    if (peer_health_.suspected(peer) && now >= silent_since + timeout) {
+      evict_peer(peer);
+    } else if (probe_due) {
+      metrics().nss_solicits_sent.add();
+      send(peer, NssSolicitMsg{});
+      nss_solicits_[peer] = now;
     }
-    if (dead) evict_peer(peer);
   }
 }
 

@@ -219,7 +219,7 @@ class Process {
     InvokeEffect effect = InvokeEffect::kTouch;
     std::vector<ExportedRef> args;
     std::size_t payload_bytes = 0;
-    std::set<std::uint64_t> waiting;  // outstanding handshake ids
+    std::set<std::uint64_t> waiting;  // unacked handshake ids
     bool want_reply = true;
   };
 
@@ -230,7 +230,6 @@ class Process {
     ProcessId owner = kNoProcess;
     RefId pinned_stub = kNoRef;  // held stub pinned for the duration
     int retries = 0;
-    SimTime last_sent = 0;       // RTT sample baseline for the ack
   };
 
   /// The last NewSetStubs sent to a contact: its export sequence, the
@@ -260,12 +259,12 @@ class Process {
   void on_evicted_nack(ProcessId src, const EvictedNackMsg& msg);
   void on_nss_solicit(ProcessId src);
 
-  /// Permanent-failure escalation, run at the top of every LGC: commits a
-  /// peer dead after `peer_death_timeout_us` of sustained suspicion. Scion
-  /// holders silent past the timeout are probed with NssSolicit first —
-  /// their (possibly empty) NewSetStubs answer expires orphan scions, and
-  /// an unanswered probe feeds the suspicion escalation instead of
-  /// convicting on silence alone (see the comment in the definition).
+  /// Permanent-failure escalation, run at the top of every LGC. Contacts and
+  /// scion holders silent for one probe interval (`peer_death_timeout_us /
+  /// (suspect_after_failures + 1)`) get one NssSolicit per interval; a
+  /// probe unanswered for an interval is a failure strike, and a suspected
+  /// peer silent for the whole timeout is evicted (see the comment in the
+  /// definition).
   void maybe_evict_peers();
 
   // Export machinery.
@@ -322,7 +321,7 @@ class Process {
   std::map<std::uint64_t, Handshake> handshakes_;
   PeerHealthTracker peer_health_{cfg_, env_.metrics()};
   std::unique_ptr<Batcher> batcher_;
-  /// call_id → (callee, send time); RTT samples for replies. Bounded; calls
+  /// call_id → (callee, send time); rmi_rtt_us samples. Bounded; calls
   /// whose reply never arrives age out by insertion order (ids ascend).
   std::map<std::uint64_t, std::pair<ProcessId, SimTime>> inflight_calls_;
   std::map<RefId, std::uint32_t> candidate_failures_;   // consecutive timeouts
@@ -335,12 +334,13 @@ class Process {
   /// some ancient one — is rejected.
   std::map<ProcessId, Incarnation> peer_incs_;
   /// When the eviction escalation started watching (first run_lgc with
-  /// eviction enabled); the silence baseline for scion holders we have
-  /// never heard from at all.
+  /// eviction enabled); the silence baseline for peers we have never heard
+  /// from at all.
   SimTime evict_watch_since_ = 0;
-  /// Scion-holder lease probes: when each silent holder was last sent an
-  /// NssSolicit. An entry whose send time is newer than the holder's
-  /// last_heard means the probe went unanswered — a timeout strike.
+  /// Lease probes: when each silent watched peer was last sent an
+  /// NssSolicit. An entry whose send time is newer than the peer's
+  /// last_heard an interval later means the probe went unanswered — a
+  /// failure strike.
   std::map<ProcessId, SimTime> nss_solicits_;
   bool self_evicted_ = false;
   std::function<void(ProcessId)> self_evicted_hook_;

@@ -101,9 +101,16 @@ TEST(AdminEndpoint, ServesMetricsHealthAndTrace) {
   }
   EXPECT_GE(histograms, 5);
 
-  const auto health = obs::http_get("127.0.0.1", admin, "/healthz");
+  // The page is rebuilt every 500 ms on the loop thread; wait for a
+  // rebuild that follows the RMI above.
+  auto health = obs::http_get("127.0.0.1", admin, "/healthz");
+  for (int i = 0; i < 40 && health && health->find("peer P1 ") == std::string::npos; ++i) {
+    std::this_thread::sleep_for(50ms);
+    health = obs::http_get("127.0.0.1", admin, "/healthz");
+  }
   ASSERT_TRUE(health.has_value()) << "/healthz did not answer 200";
   EXPECT_NE(health->find("node P0"), std::string::npos) << *health;
+  EXPECT_NE(health->find("peer P1 failures=0"), std::string::npos) << *health;
 
   const auto trace = obs::http_get("127.0.0.1", admin, "/tracez");
   ASSERT_TRUE(trace.has_value()) << "/tracez did not answer 200";

@@ -1,20 +1,22 @@
 // Permanent-failure eviction tests.
 //
-// The fault model extension (docs/FAULT_MODEL.md): sustained suspicion past
-// `peer_death_timeout` commits a peer dead locally — every scion it held is
-// dropped, every stub toward it retired, and an incarnation tombstone
+// The fault model extension (docs/FAULT_MODEL.md): a suspected peer silent
+// for `peer_death_timeout` is committed dead locally — every scion it held
+// is dropped, every stub toward it retired, and an incarnation tombstone
 // rejects its stale traffic with an Evicted NACK until a strictly newer
 // incarnation shows up. The properties checked here:
 //   * tombstones record the highest evicted incarnation and outlive the
 //     peer's health slot; idle slots are pruned, suspected ones retained;
-//   * the sticky suspected count falls again when a peer recovers;
+//   * the suspected count falls again when a peer recovers;
 //   * evict_peer() purges stubs, scions and the health slot in one step,
 //     strips every field holding a dead reference, and the stranded garbage
 //     it unpins is reclaimed by the next LGC;
 //   * a zombie (evicted but still running) is NACKed into self_evicted and
 //     a fresh incarnation is readmitted and fully functional;
-//   * a silent dead peer is evicted automatically after the timeout, and a
-//     live owner that only receives from its holder never is;
+//   * a silent dead peer is evicted automatically about one timeout after
+//     it was last heard from, whichever way the references point, after a
+//     few paced probes; a live owner that only receives from its holder
+//     never is, not even across a short partition;
 //   * the fault sweep's eviction preset reclaims every stranded stub/scion
 //     in bounded time without touching live sentinels;
 //   * the model checker finds no safety violation in the evict scenario's
@@ -74,24 +76,21 @@ TEST_F(TombstoneTest, SuspectedCountFallsOnRecovery) {
   for (std::uint32_t i = 0; i < cfg.suspect_after_failures; ++i) {
     tracker.on_timeout(1, 100 + i);
   }
-  ASSERT_TRUE(tracker.suspected(1, 200));
+  ASSERT_TRUE(tracker.suspected(1));
   EXPECT_EQ(tracker.suspected_count(), 1u);
-  EXPECT_EQ(tracker.suspected_since(1), 200u);
 
-  // Any sign of life clears the sticky flag immediately — no re-query of
-  // suspected() needed for the count (and the death-timeout clock) to fall.
+  // Any sign of life clears the suspicion.
   tracker.on_heard(1, 300);
   EXPECT_EQ(tracker.suspected_count(), 0u);
-  EXPECT_EQ(tracker.suspected_since(1), 0u);
 }
 
 TEST_F(TombstoneTest, IdleSlotsPrunedSuspectedRetained) {
-  tracker.on_send(1, 1000);
-  tracker.on_send(2, 1000);
+  tracker.on_heard(1, 1000);
+  tracker.on_heard(2, 1000);
   for (std::uint32_t i = 0; i < cfg.suspect_after_failures; ++i) {
     tracker.on_timeout(2, 1100 + i);
   }
-  ASSERT_TRUE(tracker.suspected(2, 1200));
+  ASSERT_TRUE(tracker.suspected(2));
   ASSERT_EQ(tracker.size(), 2u);
 
   // Peer 1 has been idle for far longer than the bound; peer 2 is just as
@@ -255,6 +254,76 @@ TEST(Eviction, OneWayHolderNeverConvictsHealthyOwner) {
   }
 }
 
+// A holder that never heard from its owner still watches it: the owner is
+// probed, the probes go unanswered, and the stub toward it is retired.
+TEST(Eviction, HolderEvictsOwnerItNeverHeardFrom) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    RuntimeConfig cfg = sim::fast_config(seed);
+    cfg.proc.peer_death_timeout_us = 400'000;
+    Runtime rt(2, cfg);
+    const LiveRef lr = build_live_ref(rt, 0, 1);
+    rt.crash(1);  // forever, before it ever spoke to P0
+    rt.run_for(1'000'000);
+
+    EXPECT_TRUE(rt.proc(0).peer_health().evicted_incarnation(1).has_value())
+        << "seed=" << seed;
+    EXPECT_FALSE(rt.proc(0).stubs().contains(lr.ref))
+        << "seed=" << seed << ": stub toward the dead owner never retired";
+  }
+}
+
+// A lost probe or answer is one strike, not a conviction: a partition much
+// shorter than the timeout, right when a quiet holder's probe falls due,
+// must leave the live owner and the holder's field alone.
+TEST(Eviction, ShortPartitionNeverConvictsLiveOwner) {
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    RuntimeConfig cfg;
+    cfg.seed = seed;
+    cfg.proc.peer_death_timeout_us = 2'500'000;
+    Runtime rt(2, cfg);
+    const LiveRef lr = build_live_ref(rt, 0, 1);
+    rt.proc(0).invoke(lr.holder_obj.seq, lr.ref, InvokeEffect::kTouch, {}, /*want_reply=*/true);
+    rt.run_until(2'490'000);
+    rt.network().set_link_blocked(0, 1, true);
+    rt.network().set_link_blocked(1, 0, true);
+    rt.run_for(100'000);
+    rt.network().set_link_blocked(0, 1, false);
+    rt.network().set_link_blocked(1, 0, false);
+    rt.run_for(7'500'000);
+
+    EXPECT_EQ(rt.total_metrics().peers_evicted.get(), 0u) << "seed=" << seed;
+    EXPECT_TRUE(rt.proc(0).stubs().contains(lr.ref)) << "seed=" << seed;
+    EXPECT_TRUE(sim::global_live_set(rt).contains(lr.target_obj))
+        << "seed=" << seed << ": the holder's field was stripped";
+    EXPECT_FALSE(rt.proc(1).self_evicted()) << "seed=" << seed;
+  }
+}
+
+// A crashed scion holder draws one probe per interval — at most
+// suspect_after_failures + 1 before the conviction, not one per LGC — and
+// is convicted no earlier than one timeout after it was last heard from.
+TEST(Eviction, ProbesArePaced) {
+  RuntimeConfig cfg = sim::fast_config(21);
+  cfg.proc.peer_death_timeout_us = 400'000;
+  Runtime rt(2, cfg);
+  const LiveRef in = build_live_ref(rt, 1, 0);
+  rt.run_for(400'000);
+  ASSERT_TRUE(rt.proc(0).scions().contains(in.ref));
+  const std::uint64_t probes_before = rt.proc(0).metrics().nss_solicits_sent.get();
+
+  rt.crash(1);  // forever
+  SimTime heard = 0;
+  while (rt.proc(0).metrics().peers_evicted.get() == 0 && rt.now() < 3'000'000) {
+    heard = rt.proc(0).peer_health().last_heard(1);
+    ASSERT_TRUE(rt.step());
+  }
+  ASSERT_EQ(rt.proc(0).metrics().peers_evicted.get(), 1u);
+  EXPECT_LE(rt.proc(0).metrics().nss_solicits_sent.get() - probes_before,
+            cfg.proc.suspect_after_failures + 2);
+  EXPECT_GE(rt.now(), heard + cfg.proc.peer_death_timeout_us)
+      << "evicted before a whole timeout of silence";
+}
+
 class EvictionSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(EvictionSweep, StrandedStateReclaimedWithinBound) {
@@ -264,6 +333,8 @@ TEST_P(EvictionSweep, StrandedStateReclaimedWithinBound) {
   const Metrics& m = res.metrics;
   EXPECT_GE(m.peers_evicted.get(), 1u);
   EXPECT_GE(m.eviction_stubs_retired.get() + m.eviction_scions_dropped.get(), 1u);
+  // Live pairs invoke each other; only the victim's two peers probe it.
+  EXPECT_LE(m.nss_solicits_sent.get(), 10u);
 }
 
 INSTANTIATE_TEST_SUITE_P(TenSeeds, EvictionSweep,

@@ -162,12 +162,31 @@ TEST(FaultTolerance, CdmLossOnlyDelaysDetection) {
 }
 
 // A holder that has stopped invoking is no fault: its owner only hears its
-// NewSetStubs and owes it no answer, so the holder may suspect the owner.
-// Nothing may hold garbage back on that suspicion. Default configuration.
-TEST(QuietHolder, DroppedReferenceCollectedAfterLongQuiet) {
+// NewSetStubs and owes it no answer. Nothing may hold garbage back on that
+// silence. Default configuration; the armed legs add a 1 s
+// peer_death_timeout, under which the silence must draw paced probes, never
+// a conviction.
+
+/// Armed-leg checks: nobody evicted or self-evicted, and at most one probe
+/// per watched pair (a process and one of its contacts or scion holders)
+/// per probe interval.
+void expect_quiet_pairs_kept(Runtime& rt, std::uint64_t watched_pairs, SimTime run_us,
+                             std::uint64_t seed) {
+  const Metrics m = rt.total_metrics();
+  EXPECT_EQ(m.peers_evicted.get(), 0u) << "seed=" << seed;
+  for (ProcessId pid = 0; pid < rt.size(); ++pid) {
+    EXPECT_FALSE(rt.proc(pid).self_evicted()) << "seed=" << seed << " P" << pid;
+  }
+  const ProcessConfig& pc = rt.config().proc;
+  const SimTime interval = pc.peer_death_timeout_us / (pc.suspect_after_failures + 1);
+  EXPECT_LE(m.nss_solicits_sent.get(), watched_pairs * run_us / interval) << "seed=" << seed;
+}
+
+void dropped_reference_collected_after_long_quiet(SimTime peer_death_timeout_us) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     RuntimeConfig cfg;
     cfg.seed = seed;
+    cfg.proc.peer_death_timeout_us = peer_death_timeout_us;
     Runtime rt(2, cfg);
     const ObjectId l{0, rt.proc(0).create_object()};
     const ObjectId n{1, rt.proc(1).create_object()};
@@ -179,13 +198,16 @@ TEST(QuietHolder, DroppedReferenceCollectedAfterLongQuiet) {
     rt.proc(0).remove_remote_ref(l.seq, ref);
     rt.run_for(5'000'000);
     EXPECT_FALSE(rt.proc(1).heap().exists(n.seq)) << "seed=" << seed;
+    // P0 watches its contact P1, and P1 its scion holder P0.
+    if (peer_death_timeout_us > 0) expect_quiet_pairs_kept(rt, 2, 125'000'000, seed);
   }
 }
 
-TEST(QuietHolder, RingDroppedAfterLongQuietIsCollected) {
+void ring_dropped_after_long_quiet_is_collected(SimTime peer_death_timeout_us) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     RuntimeConfig cfg;
     cfg.seed = seed;
+    cfg.proc.peer_death_timeout_us = peer_death_timeout_us;
     Runtime rt(3, cfg);
     const sim::Ring ring = sim::build_ring(rt, 3, 1);
     for (ProcessId pid = 0; pid < 3; ++pid) {
@@ -197,7 +219,26 @@ TEST(QuietHolder, RingDroppedAfterLongQuietIsCollected) {
     rt.proc(0).remove_root(ring.anchors[0].seq);
     rt.run_for(10'000'000);
     EXPECT_EQ(sim::global_stats(rt).total_objects, 0u) << "seed=" << seed;
+    // Each process watches the next one (a contact) and the previous one
+    // (a scion holder).
+    if (peer_death_timeout_us > 0) expect_quiet_pairs_kept(rt, 6, 70'000'000, seed);
   }
+}
+
+TEST(QuietHolder, DroppedReferenceCollectedAfterLongQuiet) {
+  dropped_reference_collected_after_long_quiet(0);
+}
+
+TEST(QuietHolder, DroppedReferenceCollectedAfterLongQuietWithEvictionArmed) {
+  dropped_reference_collected_after_long_quiet(1'000'000);
+}
+
+TEST(QuietHolder, RingDroppedAfterLongQuietIsCollected) {
+  ring_dropped_after_long_quiet_is_collected(0);
+}
+
+TEST(QuietHolder, RingDroppedAfterLongQuietIsCollectedWithEvictionArmed) {
+  ring_dropped_after_long_quiet_is_collected(1'000'000);
 }
 
 }  // namespace

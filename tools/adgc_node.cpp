@@ -97,8 +97,8 @@ constexpr cli::FlagSpec kNodeFlags[] = {
     {"--quarantine-ms", "T", "candidate quarantine (default 50)"},
     {"--detect-timeout-ms", "T", "initiator-side detection timeout (default 2000)"},
     {"--peer-death-timeout-ms", "T",
-     "sustained-suspicion window before a peer is evicted\n"
-     "as permanently dead (default 0 = never evict);\n"
+     "silence, with probes unanswered, before a peer is\n"
+     "evicted as permanently dead (default 0 = never evict);\n"
      "must exceed the longest partition you expect to survive"},
     {"--no-batching", nullptr,
      "one transport message per control message\n"
