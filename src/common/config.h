@@ -62,10 +62,10 @@ struct ProcessConfig {
   /// silent for this whole timeout is evicted (its scions dropped, stubs
   /// toward it retired, detections crossing it aborted, transport/batcher
   /// state purged) and tombstoned by incarnation: about one timeout after
-  /// it was last heard from. An outage shorter than the timeout minus one
-  /// interval is ridden out. A false positive degrades to a forced
-  /// crash/restart of the accused peer, never to a dangling reference, but
-  /// restarts are not free. 0 disables eviction entirely.
+  /// it was last heard from. An outage shorter than the timeout minus two
+  /// intervals is ridden out, whatever the phase. A false positive degrades
+  /// to a forced crash/restart of the accused peer, never to a dangling
+  /// reference, but restarts are not free. 0 disables eviction entirely.
   SimTime peer_death_timeout_us = 0;
 
   /// Grace period protecting a *pending* (never yet confirmed by its holder)

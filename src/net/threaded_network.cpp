@@ -1,34 +1,29 @@
 #include "src/net/threaded_network.h"
 
-#include <chrono>
-
 namespace adgc {
 
 ThreadedNetwork::ThreadedNetwork(std::size_t num_processes, NetworkConfig cfg,
-                                 std::uint64_t seed, Metrics* metrics)
-    : cfg_(cfg), metrics_(metrics), rng_(seed) {
-  boxes_.reserve(num_processes);
-  peers_.reserve(num_processes);
-  for (std::size_t i = 0; i < num_processes; ++i) {
-    boxes_.push_back(std::make_unique<Box>());
-    peers_.push_back(std::make_unique<PeerState>());
-  }
-}
+                                 std::uint64_t seed, Metrics& metrics, DeliverFn deliver)
+    : cfg_(cfg),
+      metrics_(metrics),
+      deliver_(std::move(deliver)),
+      rng_(seed),
+      peers_(num_processes) {}
 
 void ThreadedNetwork::set_down(ProcessId pid, bool down) {
-  peers_.at(pid)->down.store(down, std::memory_order_release);
+  peers_.at(pid).down.store(down, std::memory_order_release);
 }
 
 bool ThreadedNetwork::is_down(ProcessId pid) const {
-  return peers_.at(pid)->down.load(std::memory_order_acquire);
+  return peers_.at(pid).down.load(std::memory_order_acquire);
 }
 
 Incarnation ThreadedNetwork::bump_incarnation(ProcessId pid) {
-  return peers_.at(pid)->inc.fetch_add(1, std::memory_order_acq_rel) + 1;
+  return peers_.at(pid).inc.fetch_add(1, std::memory_order_acq_rel) + 1;
 }
 
 Incarnation ThreadedNetwork::incarnation(ProcessId pid) const {
-  return peers_.at(pid)->inc.load(std::memory_order_acquire);
+  return peers_.at(pid).inc.load(std::memory_order_acquire);
 }
 
 void ThreadedNetwork::set_link_blocked(ProcessId a, ProcessId b, bool blocked) {
@@ -38,11 +33,6 @@ void ThreadedNetwork::set_link_blocked(ProcessId a, ProcessId b, bool blocked) {
   } else {
     blocked_.erase({a, b});
   }
-}
-
-bool ThreadedNetwork::link_blocked(ProcessId a, ProcessId b) const {
-  std::lock_guard<std::mutex> lock(rng_mu_);
-  return blocked_.contains({a, b});
 }
 
 void ThreadedNetwork::set_loss_probability(double p) {
@@ -55,24 +45,13 @@ void ThreadedNetwork::set_duplicate_probability(double p) {
   cfg_.duplicate_probability = p;
 }
 
-void ThreadedNetwork::enqueue(ProcessId pid, WorkItem item) {
-  Box& box = *boxes_.at(pid);
-  {
-    std::lock_guard<std::mutex> lock(box.mu);
-    box.q.push_back(std::move(item));
-  }
-  box.cv.notify_one();
-}
-
 void ThreadedNetwork::send(Envelope env) {
   env.src_inc = incarnation(env.src);
   env.dst_inc = incarnation(env.dst);
-  if (metrics_) {
-    metrics_->messages_sent.add();
-    metrics_->bytes_sent.add(env.bytes.size());
-  }
+  metrics_.messages_sent.add();
+  metrics_.bytes_sent.add(env.bytes.size());
   if (is_down(env.dst)) {
-    if (metrics_) metrics_->messages_dropped_crashed.add();
+    metrics_.messages_dropped_crashed.add();
     return;
   }
   bool lost = false;
@@ -84,40 +63,14 @@ void ThreadedNetwork::send(Envelope env) {
     if (!lost) dup = rng_.chance(cfg_.duplicate_probability);
   }
   if (lost) {
-    if (metrics_) metrics_->messages_lost.add();
+    metrics_.messages_lost.add();
     return;
   }
-  const ProcessId dst = env.dst;
   if (dup) {
-    if (metrics_) metrics_->messages_duplicated.add();
-    enqueue(dst, env);  // copy
+    metrics_.messages_duplicated.add();
+    deliver_(env);  // copy
   }
-  enqueue(dst, std::move(env));
+  deliver_(std::move(env));
 }
-
-void ThreadedNetwork::post(ProcessId pid, std::function<void()> fn) {
-  enqueue(pid, std::move(fn));
-}
-
-std::optional<WorkItem> ThreadedNetwork::poll(ProcessId pid, SimTime wait_us) {
-  Box& box = *boxes_.at(pid);
-  std::unique_lock<std::mutex> lock(box.mu);
-  box.cv.wait_for(lock, std::chrono::microseconds(wait_us),
-                  [&] { return !box.q.empty() || shutdown_.load(); });
-  if (box.q.empty()) return std::nullopt;
-  WorkItem item = std::move(box.q.front());
-  box.q.pop_front();
-  return item;
-}
-
-void ThreadedNetwork::shutdown() {
-  shutdown_.store(true);
-  for (auto& box : boxes_) {
-    std::lock_guard<std::mutex> lock(box->mu);
-    box->cv.notify_all();
-  }
-}
-
-bool ThreadedNetwork::shut_down() const { return shutdown_.load(); }
 
 }  // namespace adgc

@@ -1,20 +1,17 @@
-// Concurrent mailbox network used by the real multi-threaded runtime.
+// In-memory network of the real multi-threaded runtime.
 //
-// One bounded-unbounded MPSC-style mailbox per process (mutex + condvar —
-// contention is per-process and light). Messages are delivered immediately
-// (thread scheduling provides the asynchrony); loss and duplication are
-// still injectable so the loss-tolerance properties can be exercised under
-// true concurrency.
+// Decides the fate of every message and keeps the membership table; the
+// destination's ActorHost mailbox holds what it delivers. Messages are
+// delivered immediately (thread scheduling provides the asynchrony); loss,
+// duplication and partitions are still injectable so the loss-tolerance
+// properties can be exercised under true concurrency.
 #pragma once
 
-#include <condition_variable>
-#include <deque>
+#include <atomic>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <utility>
-#include <variant>
 #include <vector>
 
 #include "src/common/config.h"
@@ -24,14 +21,14 @@
 
 namespace adgc {
 
-/// Work delivered to a process's thread: a network message or a posted
-/// closure (how external drivers inject mutator actions into the actor).
-using WorkItem = std::variant<Envelope, std::function<void()>>;
-
 class ThreadedNetwork {
  public:
+  /// Hands a delivered envelope to its destination; called on the sender's
+  /// thread.
+  using DeliverFn = std::function<void(Envelope)>;
+
   ThreadedNetwork(std::size_t num_processes, NetworkConfig cfg, std::uint64_t seed,
-                  Metrics* metrics);
+                  Metrics& metrics, DeliverFn deliver);
 
   /// Sends a message; may drop or duplicate per the config. Stamps the
   /// envelope with the sender's incarnation and the current view of the
@@ -50,30 +47,11 @@ class ThreadedNetwork {
   /// Blocks/unblocks the directed link a→b (network partition). Blocked
   /// messages count as lost — a partition IS sustained omission.
   void set_link_blocked(ProcessId a, ProcessId b, bool blocked);
-  bool link_blocked(ProcessId a, ProcessId b) const;
   /// Retunes loss/duplication mid-run (chaos harness phases).
   void set_loss_probability(double p);
   void set_duplicate_probability(double p);
 
-  /// Posts a closure to run on `pid`'s thread.
-  void post(ProcessId pid, std::function<void()> fn);
-
-  /// Blocks up to `wait_us` for the next work item for `pid`.
-  /// Returns nullopt on timeout or shutdown with an empty queue.
-  std::optional<WorkItem> poll(ProcessId pid, SimTime wait_us);
-
-  /// Wakes all waiters; poll() drains remaining items then returns nullopt.
-  void shutdown();
-
-  bool shut_down() const;
-
  private:
-  struct Box {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<WorkItem> q;
-  };
-
   /// Lock-free membership entry; read on every send, written only by the
   /// runtime's crash/restart paths.
   struct PeerState {
@@ -81,16 +59,13 @@ class ThreadedNetwork {
     std::atomic<bool> down{false};
   };
 
-  void enqueue(ProcessId pid, WorkItem item);
-
   NetworkConfig cfg_;
-  Metrics* metrics_;
-  mutable std::mutex rng_mu_;  // guards rng_, cfg_ fault knobs and blocked_
+  Metrics& metrics_;
+  DeliverFn deliver_;
+  std::mutex rng_mu_;  // guards rng_, cfg_ fault knobs and blocked_
   Rng rng_;
   std::set<std::pair<ProcessId, ProcessId>> blocked_;
-  std::vector<std::unique_ptr<Box>> boxes_;
-  std::vector<std::unique_ptr<PeerState>> peers_;
-  std::atomic<bool> shutdown_{false};
+  std::vector<PeerState> peers_;
 };
 
 }  // namespace adgc

@@ -3,8 +3,9 @@
 // A Process is an actor: all of its state is confined to one logical thread
 // of execution. Everything it needs from the outside world — the clock,
 // message sending, timers, randomness — comes through Env. The deterministic
-// simulator (rt/runtime.h) and the real multi-threaded runtime
-// (rt/threaded_runtime.h) provide the two implementations.
+// simulator (rt/runtime.h) implements it in simulated time; ActorHost
+// (rt/actor_host.h), which the threaded and the TCP runtime run each process
+// in, implements it on the wall clock and an OS thread.
 #pragma once
 
 #include <functional>
@@ -32,8 +33,8 @@ class Env {
   /// Sends an already-encoded payload (the batcher's flush path: the batch
   /// was serialized into one contiguous buffer, re-encoding it would defeat
   /// the point). The default decodes and falls back to send() so bare-bones
-  /// Env implementations (test fakes) stay correct; the real runtimes
-  /// override it to move the buffer straight into the Envelope.
+  /// Env implementations (test fakes) stay correct; ActorHost overrides it
+  /// to move the buffer straight into the Envelope.
   virtual void send_encoded(ProcessId dst, std::vector<std::byte> bytes) {
     send(dst, decode_message(bytes));
   }
@@ -47,8 +48,8 @@ class Env {
   /// callable from any thread — the completion channel for background work
   /// (the snapshot pipeline's publish hop). The default routes through
   /// schedule(0, ...), which is correct for single-threaded Envs (the
-  /// deterministic simulator, test fakes); the real runtimes override it
-  /// with their thread-safe cross-thread queues.
+  /// deterministic simulator, test fakes); ActorHost overrides it with its
+  /// thread-safe mailbox.
   virtual void post(std::function<void()> fn) { schedule(0, std::move(fn)); }
 
   /// True when this Env is backed by real OS threads: heavy work may be

@@ -24,8 +24,6 @@ struct HeapObject {
   /// Simulated payload; serialized by snapshot serializers, so its size is
   /// what the serialization benchmarks measure.
   std::vector<std::byte> payload;
-  /// Last time the object was the target of a (local or remote) access.
-  SimTime last_access = 0;
 };
 
 class Heap {

@@ -1,109 +1,36 @@
 #include "src/rt/node_runtime.h"
 
-#include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <future>
-#include <queue>
 #include <sstream>
-#include <stdexcept>
 
 #include "src/common/log.h"
 #include "src/obs/prom.h"
 
 namespace adgc {
 
-namespace {
-SimTime steady_us() {
-  return static_cast<SimTime>(std::chrono::duration_cast<std::chrono::microseconds>(
-                                  std::chrono::steady_clock::now().time_since_epoch())
-                                  .count());
-}
-}  // namespace
-
-/// Env bound to the node's loop thread. Timers in a min-heap drained by the
-/// loop; schedule() is only ever called from that thread (the Process is an
-/// actor), so no locking.
-class NodeRuntime::NodeEnv final : public Env {
- public:
-  NodeEnv(NodeRuntime& rt, std::uint64_t seed)
-      : rt_(rt), rng_(seed), trace_(rt.opts_.cfg.proc.trace_ring_capacity) {}
-
-  SimTime now() const override { return steady_us(); }
-
-  void send(ProcessId dst, const MessagePayload& msg) override {
-    send_encoded(dst, encode_message(msg));
-  }
-
-  void send_encoded(ProcessId dst, std::vector<std::byte> bytes) override {
-    Envelope env;
-    env.src = rt_.opts_.pid;
-    env.dst = dst;
-    env.src_inc = rt_.incarnation_;
-    env.dst_inc = rt_.transport_->last_known_incarnation(dst);
-    env.bytes = std::move(bytes);
-    rt_.transport_->send(std::move(env));
-  }
-
-  void schedule(SimTime delay, std::function<void()> fn) override {
-    timers_.push(Timer{now() + delay, next_timer_seq_++, std::move(fn)});
-  }
-
-  Rng& rng() override { return rng_; }
-  Metrics& metrics() override { return metrics_; }
-  obs::TraceRing* trace() override { return trace_.enabled() ? &trace_ : nullptr; }
-
-  /// Thread-safe: the snapshot pipeline's worker hands its completion back
-  /// to the node's loop thread through the work queue.
-  void post(std::function<void()> fn) override {
-    rt_.enqueue(std::move(fn));
-  }
-
-  bool real_time() const override { return true; }
-
-  /// Fires every due timer; returns microseconds until the next one (or a
-  /// default poll interval when none are queued).
-  SimTime pump_timers() {
-    const SimTime now_us = now();
-    while (!timers_.empty() && timers_.top().deadline <= now_us) {
-      auto fn = timers_.top().fn;  // copy before pop: fn may schedule more
-      timers_.pop();
-      fn();
-    }
-    if (timers_.empty()) return 10'000;
-    const SimTime next = timers_.top().deadline;
-    const SimTime cur = now();
-    return next > cur ? next - cur : 0;
-  }
-
- private:
-  struct Timer {
-    SimTime deadline;
-    std::uint64_t seq;
-    std::function<void()> fn;
-    bool operator<(const Timer& other) const {
-      if (deadline != other.deadline) return deadline > other.deadline;
-      return seq > other.seq;
-    }
+NodeRuntime::NodeRuntime(Options opts) : opts_(std::move(opts)) {
+  ActorHost::Wiring wiring;
+  wiring.send = [this](Envelope env) {
+    env.src_inc = incarnation_;
+    env.dst_inc = transport_->last_known_incarnation(env.dst);
+    transport_->send(std::move(env));
   };
-
-  NodeRuntime& rt_;
-  Rng rng_;
-  Metrics metrics_;
-  obs::TraceRing trace_;
-  std::priority_queue<Timer> timers_;
-  std::uint64_t next_timer_seq_ = 0;
-};
-
-NodeRuntime::NodeRuntime(Options opts) : opts_(std::move(opts)) {}
-
-NodeRuntime::~NodeRuntime() {
-  stop(0);
-  // The Process owns the snapshot worker, which may still post completions
-  // through enqueue(). Members die in reverse declaration order, queue_,
-  // cv_ and mu_ before proc_, so join the worker while they are alive.
-  proc_.reset();
+  // Staleness against the hello-learned view: a message from a dead
+  // incarnation of the sender reflects rolled-back state; one addressed to
+  // a dead incarnation of us may reference identifiers this incarnation
+  // never knew.
+  wiring.stale = [this](const Envelope& env) {
+    const Incarnation known = transport_->last_known_incarnation(env.src);
+    return (known != kUnknownIncarnation && env.src_inc < known) ||
+           (env.dst_inc != kUnknownIncarnation && env.dst_inc != incarnation_);
+  };
+  host_ = std::make_unique<ActorHost>(
+      opts_.pid, opts_.cfg.seed ^ (std::uint64_t{opts_.pid} * 0x9e3779b97f4a7c15ULL),
+      opts_.cfg.proc.trace_ring_capacity, std::move(wiring));
 }
+
+NodeRuntime::~NodeRuntime() { stop(0); }
 
 Incarnation NodeRuntime::load_and_bump_incarnation() {
   if (opts_.state_dir.empty()) return 0;
@@ -131,12 +58,10 @@ void NodeRuntime::start() {
   if (running_.load()) return;
   incarnation_ = load_and_bump_incarnation();
 
-  RuntimeConfig cfg = opts_.cfg;
-  if (cfg.proc.snapshot_dir.empty() && !opts_.state_dir.empty()) {
-    cfg.proc.snapshot_dir =
-        (std::filesystem::path(opts_.state_dir) / "snapshots").string();
+  ProcessConfig& proc_cfg = opts_.cfg.proc;
+  if (proc_cfg.snapshot_dir.empty() && !opts_.state_dir.empty()) {
+    proc_cfg.snapshot_dir = (std::filesystem::path(opts_.state_dir) / "snapshots").string();
   }
-  opts_.cfg = cfg;
 
   // Bind addresses may use port 0 (kernel-assigned; the node announces the
   // actual ports). Peer-map entries stay strict.
@@ -148,7 +73,7 @@ void NodeRuntime::start() {
   topts.listen_port = listen.port;
   topts.peers = opts_.peers;
   topts.peer_queue_limit = opts_.peer_queue_limit;
-  topts.seed = cfg.seed ^ (std::uint64_t{opts_.pid} << 32) ^ incarnation_;
+  topts.seed = opts_.cfg.seed ^ (std::uint64_t{opts_.pid} << 32) ^ incarnation_;
   if (opts_.admin_enabled) {
     const PeerAddr admin = parse_peer_addr(opts_.admin_listen, /*allow_port_zero=*/true);
     topts.admin_enabled = true;
@@ -158,144 +83,63 @@ void NodeRuntime::start() {
   transport_ = std::make_unique<TcpTransport>(topts, net_metrics_);
   transport_->set_admin_handler(
       [this](const obs::HttpRequest& req) { return handle_admin(req); });
-  transport_->set_deliver([this](Envelope&& env) { enqueue(std::move(env)); });
+  transport_->set_deliver([this](Envelope&& env) { host_->deliver(std::move(env)); });
   transport_->set_peer_restart([this](ProcessId peer, Incarnation inc) {
     ADGC_INFO("node P" << opts_.pid << ": peer P" << peer
                        << " restarted under incarnation " << inc);
-    enqueue(std::function<void()>([this, peer] { proc_->on_peer_crashed(peer); }));
+    host_->run([peer](Process& p) { p.on_peer_crashed(peer); });
   });
   transport_->set_connect_failed([this](ProcessId peer) {
     // Bridge onto the loop thread: a refused/unreachable connect is a
     // request the peer left unanswered, one failure strike toward suspicion
     // on top of the eviction escalation's unanswered NssSolicit probes.
-    enqueue(std::function<void()>([this, peer] {
-      proc_->peer_health().on_timeout(peer, env_->now());
-    }));
+    host_->run([this, peer](Process& p) { p.peer_health().on_timeout(peer, host_->now()); });
   });
 
-  env_ = std::make_unique<NodeEnv>(
-      *this, cfg.seed ^ (std::uint64_t{opts_.pid} * 0x9e3779b97f4a7c15ULL));
-  proc_ = std::make_unique<Process>(opts_.pid, opts_.cfg.proc, *env_, incarnation_);
-  proc_->set_peer_evicted_hook(
-      [this](ProcessId peer) { transport_->drop_peer(peer); });
-  proc_->set_self_evicted_hook([this](ProcessId) {
+  host_->set_process(std::make_unique<Process>(opts_.pid, proc_cfg, *host_, incarnation_));
+  Process& proc = *host_->process();
+  proc.set_peer_evicted_hook([this](ProcessId peer) { transport_->drop_peer(peer); });
+  proc.set_self_evicted_hook([this](ProcessId) {
     self_evicted_.store(true, std::memory_order_release);
   });
-  if (incarnation_ > 0) {
-    recovered_ = proc_->recover_from_store();
-    env_->metrics().process_restarts.add();
-    if (recovered_) env_->metrics().restarts_recovered.add();
-    obs::emit(env_->trace(),
-              {env_->now(), opts_.pid, obs::EventType::kRestart, 0, opts_.pid,
-               incarnation_, recovered_ ? 1u : 0u});
-  }
+  if (incarnation_ > 0) recovered_ = host_->recover();
 
   transport_->start();  // throws on bind failure, before any thread exists
-  loop_stop_.store(false);
   running_.store(true, std::memory_order_release);
-  loop_thread_ = std::thread([this] { loop(); });
-  post([](Process& p) { p.start(); });
-  if (opts_.admin_enabled) {
-    enqueue(std::function<void()>([this] { refresh_health_cache(); }));
-  }
+  host_->start();
+  if (opts_.admin_enabled) host_->post([this] { refresh_health_cache(); });
 }
 
 void NodeRuntime::stop(SimTime drain_us) {
   if (!running_.exchange(false)) return;
-  loop_stop_.store(true, std::memory_order_release);
-  cv_.notify_all();
-  if (loop_thread_.joinable()) loop_thread_.join();
+  host_->stop();
   // Loop thread is gone; hand any batched control messages to the transport
   // so the drain below can put them on the wire.
-  if (proc_) proc_->flush_batches();
+  if (Process* proc = host_->process()) proc->flush_batches();
   if (transport_) transport_->stop(drain_us);
 }
 
-void NodeRuntime::enqueue(WorkItem item) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    queue_.push_back(std::move(item));
-  }
-  cv_.notify_one();
-}
+void NodeRuntime::post(std::function<void(Process&)> fn) { host_->run(std::move(fn)); }
 
-void NodeRuntime::post(std::function<void(Process&)> fn) {
-  enqueue(std::function<void()>([this, fn = std::move(fn)] {
-    if (proc_) fn(*proc_);
-  }));
-}
-
-void NodeRuntime::post_sync(std::function<void(Process&)> fn) {
-  if (!running_.load(std::memory_order_acquire)) {
-    // Loop thread is gone (before start() or after stop()): nothing else
-    // can touch the Process, so run inline instead of deadlocking on a
-    // closure nobody will drain.
-    if (proc_) fn(*proc_);
-    return;
-  }
-  std::promise<void> done;
-  auto fut = done.get_future();
-  enqueue(std::function<void()>([this, &fn, &done] {
-    if (proc_) fn(*proc_);
-    done.set_value();
-  }));
-  fut.wait();
-}
-
-void NodeRuntime::loop() {
-  while (!loop_stop_.load(std::memory_order_acquire)) {
-    const SimTime wait = std::min<SimTime>(env_->pump_timers(), 10'000);
-    WorkItem item;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      if (queue_.empty()) {
-        cv_.wait_for(lk, std::chrono::microseconds(wait), [this] {
-          return !queue_.empty() || loop_stop_.load(std::memory_order_acquire);
-        });
-      }
-      if (queue_.empty()) continue;
-      item = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    if (auto* env = std::get_if<Envelope>(&item)) {
-      // Staleness filtering, as in the in-memory runtimes but against the
-      // hello-learned view: a message from a dead incarnation of the sender
-      // reflects rolled-back state; one addressed to a dead incarnation of
-      // us may reference identifiers this incarnation never knew.
-      const Incarnation known = transport_->last_known_incarnation(env->src);
-      const bool stale_src = known != kUnknownIncarnation && env->src_inc < known;
-      const bool stale_dst =
-          env->dst_inc != kUnknownIncarnation && env->dst_inc != incarnation_;
-      if (stale_src || stale_dst) {
-        env_->metrics().messages_stale_incarnation.add();
-        continue;
-      }
-      env_->metrics().messages_delivered.add();
-      proc_->deliver(*env);
-    } else {
-      std::get<std::function<void()>>(item)();
-    }
-  }
-}
+void NodeRuntime::post_sync(std::function<void(Process&)> fn) { host_->run_sync(fn); }
 
 Metrics NodeRuntime::total_metrics() {
   Metrics total;
   total.merge(net_metrics_);
-  if (env_) total.merge(env_->metrics());
+  total.merge(host_->metrics());
   return total;
 }
 
 std::vector<obs::Event> NodeRuntime::trace_events() const {
-  if (!env_) return {};
-  if (const obs::TraceRing* ring = env_->trace()) return ring->snapshot();
+  if (const obs::TraceRing* ring = host_->trace()) return ring->snapshot();
   return {};
 }
 
 void NodeRuntime::refresh_health_cache() {
   // Loop thread: the only thread allowed to read the peer-health tracker.
-  if (proc_) {
-    const SimTime now = env_->now();
-    const PeerHealthTracker& health = proc_->peer_health();
+  if (const Process* proc = host_->process()) {
+    const SimTime now = host_->now();
+    const PeerHealthTracker& health = proc->peer_health();
     std::ostringstream os;
     os << "node P" << opts_.pid << " inc=" << incarnation_
        << (self_evicted() ? " SELF-EVICTED" : " ok") << "\n";
@@ -318,7 +162,7 @@ void NodeRuntime::refresh_health_cache() {
     std::lock_guard<std::mutex> lk(health_mu_);
     health_cache_ = os.str();
   }
-  env_->schedule(500'000, [this] { refresh_health_cache(); });
+  host_->schedule(500'000, [this] { refresh_health_cache(); });
 }
 
 obs::AdminResponse NodeRuntime::handle_admin(const obs::HttpRequest& req) {

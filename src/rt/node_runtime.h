@@ -1,11 +1,10 @@
 // Standalone-node runtime: one ADGC Process per OS process, over real TCP.
 //
-// The third Env implementation (after the deterministic simulator and the
-// in-memory threaded runtime). It hosts exactly ONE Process and bridges the
+// It hosts exactly ONE Process in an ActorHost and bridges the
 // TcpTransport's socket event loop onto the actor's single logical thread:
-// the IO thread only enqueues work items; the node's own loop thread drains
-// them, pumps wall-clock timers and is the only thread that ever touches
-// the Process.
+// the IO thread only queues envelopes and closures into the host's mailbox;
+// the host's loop thread drains them, pumps wall-clock timers and is the
+// only thread that ever touches the Process.
 //
 // Incarnation recovery across real process kills: the incarnation lives in
 // a small file in `state_dir`. Every start reads it, bumps it and writes it
@@ -19,19 +18,15 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <variant>
 
 #include "src/common/config.h"
 #include "src/common/metrics.h"
 #include "src/net/tcp_transport.h"
-#include "src/net/transport.h"
+#include "src/rt/actor_host.h"
 #include "src/rt/process.h"
 
 namespace adgc {
@@ -87,12 +82,12 @@ class NodeRuntime {
 
   /// Runs `fn(process)` on the node's loop thread, asynchronously.
   void post(std::function<void(Process&)> fn);
-  /// Same, but blocks the caller until the closure ran. Must not be called
-  /// from the loop thread itself.
+  /// Same, but blocks the caller until the closure ran; inline before
+  /// start() and after stop(). Must not be called from the loop thread.
   void post_sync(std::function<void(Process&)> fn);
 
   /// Direct access; only safe after stop().
-  Process& unsafe_proc() { return *proc_; }
+  Process& unsafe_proc() { return *host_->process(); }
 
   TcpTransport& transport() { return *transport_; }
   Metrics total_metrics();
@@ -101,11 +96,6 @@ class NodeRuntime {
   std::vector<obs::Event> trace_events() const;
 
  private:
-  class NodeEnv;
-  using WorkItem = std::variant<Envelope, std::function<void()>>;
-
-  void loop();
-  void enqueue(WorkItem item);
   Incarnation load_and_bump_incarnation();
   /// Serves one admin request; runs on the transport IO thread, so it only
   /// reads atomic metrics, the mutex-guarded health cache and the trace ring.
@@ -119,17 +109,10 @@ class NodeRuntime {
   bool recovered_ = false;
   Metrics net_metrics_;
 
-  std::unique_ptr<NodeEnv> env_;
   std::unique_ptr<TcpTransport> transport_;
-  std::unique_ptr<Process> proc_;
+  std::unique_ptr<ActorHost> host_;
 
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<WorkItem> queue_;
-
-  std::thread loop_thread_;
   std::atomic<bool> running_{false};
-  std::atomic<bool> loop_stop_{false};
   std::atomic<bool> self_evicted_{false};
 
   /// /healthz body, refreshed periodically on the loop thread and served

@@ -451,7 +451,6 @@ void Process::on_invoke(ProcessId src, const InvokeMsg& msg) {
     ADGC_WARN("P" << pid_ << " invocation for missing object " << target_seq);
     return;
   }
-  obj->last_access = env_.now();
 
   switch (msg.effect) {
     case InvokeEffect::kTouch:

@@ -1,176 +1,50 @@
 #include "src/rt/threaded_runtime.h"
 
-#include <chrono>
-#include <future>
-#include <queue>
 #include <stdexcept>
 
 namespace adgc {
 
-namespace {
-SimTime steady_us() {
-  return static_cast<SimTime>(std::chrono::duration_cast<std::chrono::microseconds>(
-                                  std::chrono::steady_clock::now().time_since_epoch())
-                                  .count());
-}
-}  // namespace
-
-/// Env bound to one worker thread. Timers live in a min-heap drained by the
-/// worker loop; schedule() is only ever called from that same thread (the
-/// Process is an actor), so no locking is needed.
-class ThreadedRuntime::ThreadEnv final : public Env {
- public:
-  ThreadEnv(ThreadedRuntime& rt, ProcessId pid, std::uint64_t seed)
-      : rt_(rt), pid_(pid), rng_(seed), trace_(rt.cfg_.proc.trace_ring_capacity) {}
-
-  SimTime now() const override { return steady_us(); }
-
-  void send(ProcessId dst, const MessagePayload& msg) override {
-    send_encoded(dst, encode_message(msg));
-  }
-
-  void send_encoded(ProcessId dst, std::vector<std::byte> bytes) override {
-    Envelope env;
-    env.src = pid_;
-    env.dst = dst;
-    env.bytes = std::move(bytes);
-    rt_.network_->send(std::move(env));
-  }
-
-  void schedule(SimTime delay, std::function<void()> fn) override {
-    timers_.push(Timer{now() + delay, next_timer_seq_++, std::move(fn)});
-  }
-
-  Rng& rng() override { return rng_; }
-  Metrics& metrics() override { return metrics_; }
-  obs::TraceRing* trace() override { return trace_.enabled() ? &trace_ : nullptr; }
-
-  /// Thread-safe: the snapshot pipeline's worker hands its completion back
-  /// to the owning worker thread through the network's post queue.
-  void post(std::function<void()> fn) override {
-    rt_.network_->post(pid_, std::move(fn));
-  }
-
-  bool real_time() const override { return true; }
-
-  /// Drops every pending timer (crash path; their closures capture the dying
-  /// Process). Must run on the owning worker thread, like all timer access.
-  void clear_timers() { timers_ = {}; }
-
-  /// Fires every due timer; returns microseconds until the next one (or a
-  /// default poll interval when none are queued).
-  SimTime pump_timers() {
-    const SimTime now_us = now();
-    while (!timers_.empty() && timers_.top().deadline <= now_us) {
-      // Copy out before pop: the callback may schedule more timers.
-      auto fn = timers_.top().fn;
-      timers_.pop();
-      fn();
-    }
-    if (timers_.empty()) return 10'000;
-    const SimTime next = timers_.top().deadline;
-    const SimTime cur = now();
-    return next > cur ? next - cur : 0;
-  }
-
- private:
-  struct Timer {
-    SimTime deadline;
-    std::uint64_t seq;
-    std::function<void()> fn;
-    bool operator<(const Timer& other) const {
-      // priority_queue is a max-heap: invert.
-      if (deadline != other.deadline) return deadline > other.deadline;
-      return seq > other.seq;
-    }
-  };
-
-  ThreadedRuntime& rt_;
-  ProcessId pid_;
-  Rng rng_;
-  Metrics metrics_;
-  obs::TraceRing trace_;
-  std::priority_queue<Timer> timers_;
-  std::uint64_t next_timer_seq_ = 0;
-};
-
 ThreadedRuntime::ThreadedRuntime(std::size_t num_processes, RuntimeConfig cfg) : cfg_(cfg) {
-  network_ = std::make_unique<ThreadedNetwork>(num_processes, cfg_.net, cfg_.seed,
-                                               &net_metrics_);
+  network_ = std::make_unique<ThreadedNetwork>(
+      num_processes, cfg_.net, cfg_.seed, net_metrics_,
+      [this](Envelope env) { hosts_.at(env.dst)->deliver(std::move(env)); });
   Rng seeder(cfg_.seed);
   for (std::size_t i = 0; i < num_processes; ++i) {
-    envs_.push_back(std::make_unique<ThreadEnv>(*this, static_cast<ProcessId>(i),
-                                                seeder.next_u64()));
-    procs_.push_back(std::make_unique<Process>(static_cast<ProcessId>(i), cfg_.proc,
-                                               *envs_.back()));
+    const auto pid = static_cast<ProcessId>(i);
+    ActorHost::Wiring wiring;
+    wiring.send = [this](Envelope env) { network_->send(std::move(env)); };
+    // The omniscient membership table: a message from a dead incarnation of
+    // the sender, or addressed to a dead incarnation of this process.
+    wiring.stale = [this, pid](const Envelope& env) {
+      return env.src_inc != network_->incarnation(env.src) ||
+             env.dst_inc != network_->incarnation(pid);
+    };
+    hosts_.push_back(std::make_unique<ActorHost>(pid, seeder.next_u64(),
+                                                 cfg_.proc.trace_ring_capacity,
+                                                 std::move(wiring)));
+    hosts_.back()->set_process(std::make_unique<Process>(pid, cfg_.proc, *hosts_.back()));
   }
-  for (std::size_t i = 0; i < num_processes; ++i) {
-    threads_.emplace_back([this, i] { worker(static_cast<ProcessId>(i)); });
-    // Kick off the periodic collectors from the process's own thread.
-    post(static_cast<ProcessId>(i), [](Process& p) { p.start(); });
-  }
+  for (auto& host : hosts_) host->start();
 }
 
 ThreadedRuntime::~ThreadedRuntime() { shutdown(); }
 
-void ThreadedRuntime::worker(ProcessId pid) {
-  ThreadEnv& env = *envs_.at(pid);
-  while (!stopped_.load(std::memory_order_acquire)) {
-    const SimTime wait = std::min<SimTime>(env.pump_timers(), 10'000);
-    auto item = network_->poll(pid, wait);
-    if (!item) continue;
-    if (auto* envl = std::get_if<Envelope>(&*item)) {
-      // procs_[pid] is written only from this thread (the posted crash /
-      // restart closures), so the re-resolve each item is race-free.
-      Process* proc = procs_.at(pid).get();
-      if (!proc) {
-        env.metrics().messages_dropped_crashed.add();
-        continue;
-      }
-      if (envl->src_inc != network_->incarnation(envl->src) ||
-          envl->dst_inc != network_->incarnation(pid)) {
-        env.metrics().messages_stale_incarnation.add();
-        continue;
-      }
-      env.metrics().messages_delivered.add();
-      proc->deliver(*envl);
-    } else {
-      std::get<std::function<void()>>(*item)();
-    }
-  }
-}
-
 void ThreadedRuntime::post(ProcessId pid, std::function<void(Process&)> fn) {
-  // Resolve the Process at execution time, on the worker thread: the pointer
-  // captured at post time could dangle across a crash/restart.
-  network_->post(pid, [this, pid, fn = std::move(fn)] {
-    if (Process* proc = procs_.at(pid).get()) fn(*proc);
-  });
+  hosts_.at(pid)->run(std::move(fn));
 }
 
 void ThreadedRuntime::post_sync(ProcessId pid, std::function<void(Process&)> fn) {
-  std::promise<void> done;
-  auto fut = done.get_future();
-  network_->post(pid, [this, pid, &fn, &done] {
-    if (Process* proc = procs_.at(pid).get()) fn(*proc);
-    done.set_value();
-  });
-  fut.wait();
+  hosts_.at(pid)->run_sync(fn);
 }
 
 void ThreadedRuntime::crash(ProcessId pid) {
   network_->set_down(pid, true);  // stop deliveries right away
-  std::promise<void> done;
-  auto fut = done.get_future();
-  network_->post(pid, [this, pid, &done] {
-    envs_.at(pid)->clear_timers();  // closures capture the dying Process
-    procs_.at(pid).reset();
-    envs_.at(pid)->metrics().process_crashes.add();
-    obs::emit(envs_.at(pid)->trace(),
-              {envs_.at(pid)->now(), pid, obs::EventType::kCrash, 0, pid, 0, 0});
-    done.set_value();
+  ActorHost& host = *hosts_.at(pid);
+  host.post_sync([&host, pid] {
+    host.set_process(nullptr);
+    host.metrics().process_crashes.add();
+    obs::emit(host.trace(), {host.now(), pid, obs::EventType::kCrash, 0, pid, 0, 0});
   });
-  fut.wait();
   for (ProcessId p = 0; p < static_cast<ProcessId>(size()); ++p) {
     if (p == pid) continue;
     post(p, [pid](Process& proc) { proc.on_peer_crashed(pid); });
@@ -181,23 +55,18 @@ bool ThreadedRuntime::restart(ProcessId pid) {
   if (alive(pid)) throw std::logic_error("restart: process is alive");
   // Bump first so concurrent senders either stamp the old incarnation (their
   // message is dropped by the stale check) or the new one; then reopen the
-  // network and construct the process on its own thread.
+  // network and construct the process on its own thread. What arrives before
+  // it is installed is dropped as if the network were still down.
   const Incarnation inc = network_->bump_incarnation(pid);
-  std::promise<bool> done;
-  auto fut = done.get_future();
-  network_->post(pid, [this, pid, inc, &done] {
-    procs_.at(pid) = std::make_unique<Process>(pid, cfg_.proc, *envs_.at(pid), inc);
-    const bool recovered = procs_.at(pid)->recover_from_store();
-    envs_.at(pid)->metrics().process_restarts.add();
-    if (recovered) envs_.at(pid)->metrics().restarts_recovered.add();
-    obs::emit(envs_.at(pid)->trace(),
-              {envs_.at(pid)->now(), pid, obs::EventType::kRestart, 0, pid, inc,
-               recovered ? 1u : 0u});
-    procs_.at(pid)->start();
-    done.set_value(recovered);
-  });
   network_->set_down(pid, false);
-  return fut.get();
+  ActorHost& host = *hosts_.at(pid);
+  bool recovered = false;
+  host.post_sync([&] {
+    host.set_process(std::make_unique<Process>(pid, cfg_.proc, host, inc));
+    recovered = host.recover();
+    host.process()->start();
+  });
+  return recovered;
 }
 
 bool ThreadedRuntime::alive(ProcessId pid) const { return !network_->is_down(pid); }
@@ -207,18 +76,14 @@ Incarnation ThreadedRuntime::incarnation(ProcessId pid) const {
 }
 
 void ThreadedRuntime::shutdown() {
-  bool expected = false;
-  if (!stopped_.compare_exchange_strong(expected, true)) return;
-  network_->shutdown();
-  for (auto& t : threads_) {
-    if (t.joinable()) t.join();
-  }
+  if (stopped_.exchange(true)) return;
+  for (auto& host : hosts_) host->stop();
 }
 
 Metrics ThreadedRuntime::total_metrics() {
   Metrics total;
   total.merge(net_metrics_);
-  for (auto& env : envs_) total.merge(env->metrics());
+  for (auto& host : hosts_) total.merge(host->metrics());
   return total;
 }
 

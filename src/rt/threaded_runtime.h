@@ -4,20 +4,20 @@
 // barrier, no global clock — each process takes snapshots, runs its LGC and
 // exchanges CDMs on its own wall-clock timers.
 //
-// Processes remain actors: all interaction with a Process goes through
-// post()/post_sync(), which run the closure on that process's own thread.
+// Processes remain actors: each runs in its own ActorHost, and all
+// interaction with a Process goes through post()/post_sync(), which run the
+// closure on that process's own thread.
 #pragma once
 
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "src/common/config.h"
 #include "src/common/metrics.h"
 #include "src/net/threaded_network.h"
-#include "src/net/transport.h"
+#include "src/rt/actor_host.h"
 #include "src/rt/process.h"
 
 namespace adgc {
@@ -30,13 +30,13 @@ class ThreadedRuntime {
   ThreadedRuntime(const ThreadedRuntime&) = delete;
   ThreadedRuntime& operator=(const ThreadedRuntime&) = delete;
 
-  std::size_t size() const { return procs_.size(); }
+  std::size_t size() const { return hosts_.size(); }
 
   /// Runs `fn(process)` on the process's own thread, asynchronously. Skipped
   /// silently if the process is crashed when the closure comes up.
   void post(ProcessId pid, std::function<void(Process&)> fn);
   /// Same, but blocks the caller until the closure has run (or been skipped
-  /// because the process is down).
+  /// because the process is down). After shutdown() it runs inline.
   void post_sync(ProcessId pid, std::function<void(Process&)> fn);
 
   // ---- crash/restart fault injection ----
@@ -58,7 +58,7 @@ class ThreadedRuntime {
   bool running() const { return !stopped_.load(); }
 
   /// Direct access; only safe after shutdown() (or from post closures).
-  Process& unsafe_proc(ProcessId pid) { return *procs_.at(pid); }
+  Process& unsafe_proc(ProcessId pid) { return *hosts_.at(pid)->process(); }
 
   /// Network fault-injection surface (thread-safe: loss, duplication,
   /// link partitions can be flipped mid-run by a chaos driver).
@@ -67,16 +67,10 @@ class ThreadedRuntime {
   Metrics total_metrics();
 
  private:
-  class ThreadEnv;
-
-  void worker(ProcessId pid);
-
   RuntimeConfig cfg_;
   Metrics net_metrics_;
   std::unique_ptr<ThreadedNetwork> network_;
-  std::vector<std::unique_ptr<ThreadEnv>> envs_;
-  std::vector<std::unique_ptr<Process>> procs_;
-  std::vector<std::thread> threads_;
+  std::vector<std::unique_ptr<ActorHost>> hosts_;
   std::atomic<bool> stopped_{false};
 };
 

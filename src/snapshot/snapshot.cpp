@@ -43,7 +43,6 @@ void restore_snapshot(const SnapshotData& snap, Heap& heap, StubTable& stubs,
     obj.local_fields = o.local_fields;
     obj.remote_fields = o.remote_fields;
     obj.payload = o.payload;
-    obj.last_access = now;
     heap.adopt(std::move(obj));
   }
   for (ObjectSeq root : snap.roots) heap.add_root(root);
