@@ -95,6 +95,26 @@ int main(int argc, char** argv) {
   write_file(dir, "snapshot_binary", BinarySerializer{}.serialize(snap));
   write_file(dir, "snapshot_naive", NaiveSerializer{}.serialize(snap));
 
+  // A snapshot with a summary worth checking: a rooted holder, a two-object
+  // cycle holding a stub, two scions whose targets reach one shared stub, a
+  // component that joins two stub sets, and a stub that no scion reaches.
+  SnapshotData graph;
+  graph.pid = 2;
+  graph.roots = {1};
+  for (ObjectSeq i = 1; i <= 7; ++i) graph.objects.push_back({i, {}, {}, {}});
+  graph.objects[1].local_fields = {3};
+  graph.objects[2].local_fields = {2, 4};
+  graph.objects[4].local_fields = {4, 6};
+  const ObjectSeq holders[] = {1, 3, 4, 6, 7};
+  for (std::uint64_t k = 0; k < 5; ++k) {
+    graph.stubs.push_back({make_ref_id(2, k + 1), {3, k + 1}, k});
+    graph.objects[holders[k] - 1].remote_fields.push_back(make_ref_id(2, k + 1));
+  }
+  graph.scions.push_back({make_ref_id(4, 1), 4, 2, 1});
+  graph.scions.push_back({make_ref_id(4, 2), 4, 5, 2});
+  graph.scions.push_back({make_ref_id(5, 1), 5, 4, 0});
+  write_file(dir, "snapshot_graph", BinarySerializer{}.serialize(graph));
+
   // TCP frame seeds. fuzz_frame_decode interprets the FIRST byte as the
   // feed-chunk selector, so every frame seed is prefixed with one byte
   // (0x0c → 4096-byte chunks ≈ one-shot; 0x00 → byte-at-a-time).

@@ -54,11 +54,14 @@ SnapshotData BinarySerializer::deserialize(std::span<const std::byte> bytes) con
   snap.pid = r.u32();
   snap.taken_at = r.u64();
 
+  // Each count is checked against the bytes left before it sizes a vector.
   const std::uint32_t nroots = r.u32();
+  if (nroots > r.remaining() / 8) throw DecodeError("roots overrun");
   snap.roots.reserve(nroots);
   for (std::uint32_t i = 0; i < nroots; ++i) snap.roots.push_back(r.u64());
 
   const std::uint32_t nobjs = r.u32();
+  if (nobjs > r.remaining() / 20) throw DecodeError("objects overrun");  // seq + 3 lengths
   snap.objects.reserve(nobjs);
   for (std::uint32_t i = 0; i < nobjs; ++i) {
     SnapshotData::Obj o;
@@ -76,6 +79,7 @@ SnapshotData BinarySerializer::deserialize(std::span<const std::byte> bytes) con
   }
 
   const std::uint32_t nstubs = r.u32();
+  if (nstubs > r.remaining() / 28) throw DecodeError("stubs overrun");
   snap.stubs.reserve(nstubs);
   for (std::uint32_t i = 0; i < nstubs; ++i) {
     SnapshotData::Stub s;
@@ -86,6 +90,7 @@ SnapshotData BinarySerializer::deserialize(std::span<const std::byte> bytes) con
   }
 
   const std::uint32_t nscions = r.u32();
+  if (nscions > r.remaining() / 28) throw DecodeError("scions overrun");
   snap.scions.reserve(nscions);
   for (std::uint32_t i = 0; i < nscions; ++i) {
     SnapshotData::Scion s;

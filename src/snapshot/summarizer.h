@@ -1,13 +1,13 @@
 // Graph summarization: SnapshotData → SummarizedGraph.
 //
-// Two interchangeable implementations:
-//  * SccSummarizer — the one every Process runs: Tarjan condensation + one
-//    bottom-up DP over the condensation DAG with bitset stub sets;
-//    O(|E| + |V|·|stubs|/64).
-//  * BfsSummarizer — one forward BFS per scion; simple, O(|scions|·|E|).
-//    The reference the property tests and the ablation benchmark compare
-//    SccSummarizer against.
-// They must produce identical summaries (enforced by property tests).
+// SccSummarizer is the one every Process runs: Tarjan condensation of the
+// part of the heap the scion targets reach, then one bottom-up pass over
+// that condensation with bitset stub sets that components share unless they
+// hold a stub or join two sets. O(|V_s| + |E_s| + rows·|stubs_s|/64), where
+// V_s, E_s and stubs_s are the objects, edges and stubs the scion targets
+// reach and rows ≤ their components; plus one traversal from the roots for
+// Local.Reach. tests/bfs_summarizer.h holds the per-scion BFS oracle it must
+// equal.
 #pragma once
 
 #include <memory>
@@ -24,12 +24,6 @@ class Summarizer {
   virtual SummarizedGraph summarize(const SnapshotData& snap) = 0;
 };
 
-class BfsSummarizer final : public Summarizer {
- public:
-  std::string name() const override { return "bfs"; }
-  SummarizedGraph summarize(const SnapshotData& snap) override;
-};
-
 class SccSummarizer final : public Summarizer {
  public:
   std::string name() const override { return "scc"; }
@@ -37,7 +31,7 @@ class SccSummarizer final : public Summarizer {
 };
 
 /// Sorts set vectors and fills the inverse relation (ScionsTo from
-/// StubsFrom); shared tail of both summarizers.
+/// StubsFrom); the shared tail of SccSummarizer and the test oracle.
 void finalize_summary(SummarizedGraph& out);
 
 }  // namespace adgc

@@ -107,6 +107,19 @@ TEST(Serializers, BinaryRejectsTruncation) {
   EXPECT_THROW(binary.deserialize(bytes), DecodeError);
 }
 
+TEST(Serializers, BinaryRejectsCountsBeyondTheInput) {
+  // Each count is checked against the bytes left before it sizes a vector,
+  // so a corrupt count is a DecodeError, not a huge allocation.
+  BinarySerializer binary;
+  const auto empty = binary.serialize(SnapshotData{});
+  ASSERT_EQ(empty.size(), 32u);  // magic, pid, taken_at, then four counts
+  for (std::size_t at : {16u, 20u, 24u, 28u}) {
+    auto bytes = empty;
+    for (std::size_t k = 0; k < 4; ++k) bytes[at + k] = std::byte{0xff};
+    EXPECT_THROW(binary.deserialize(bytes), DecodeError) << "count at byte " << at;
+  }
+}
+
 TEST(Serializers, NaiveRejectsGarbage) {
   NaiveSerializer naive;
   const std::string junk = "this is not a snapshot\n";
