@@ -6,7 +6,8 @@
 // BFS oracle (tests/bfs_summarizer.h) and with the SCC summarizer every
 // process runs, on random heaps, (b) how small the summary is relative to
 // the snapshot it replaces, and (c) the SCC summarizer's cost on the node
-// heaps of the repository benchmark (tests/heap_shapes.h). It exits 1 if
+// heaps of the repository benchmark (tests/heap_shapes.h), with (d) the
+// cost of lgc::run and capture_snapshot on the same heaps. It exits 1 if
 // the SCC summary of a node heap differs from the oracle's.
 #include <benchmark/benchmark.h>
 
@@ -14,10 +15,12 @@
 
 #include "bench/bench_common.h"
 #include "src/common/rng.h"
+#include "src/lgc/mark_sweep.h"
 #include "src/snapshot/serializer.h"
 #include "src/snapshot/summarizer.h"
 #include "tests/bfs_summarizer.h"
 #include "tests/heap_shapes.h"
+#include "tests/snapshot_builder.h"
 
 namespace adgc {
 namespace {
@@ -29,23 +32,20 @@ SnapshotData random_snapshot(std::size_t n, double degree, std::size_t refs,
   Rng rng(seed);
   SnapshotData snap;
   snap.pid = 0;
-  snap.objects.reserve(n);
-  for (std::size_t i = 1; i <= n; ++i) {
-    SnapshotData::Obj o;
-    o.seq = i;
-    snap.objects.push_back(std::move(o));
-  }
+  std::vector<SnapshotObject> objects(n);
+  for (std::size_t i = 1; i <= n; ++i) objects[i - 1].seq = i;
   const auto edges = static_cast<std::size_t>(degree * static_cast<double>(n));
   for (std::size_t e = 0; e < edges; ++e) {
-    snap.objects[rng.below(n)].local_fields.push_back(1 + rng.below(n));
+    objects[rng.below(n)].local_fields.push_back(1 + rng.below(n));
   }
   snap.roots = {1 + rng.below(n), 1 + rng.below(n)};
   for (std::size_t r = 0; r < refs; ++r) {
     const RefId ref = make_ref_id(0, r + 1);
     snap.stubs.push_back({ref, ObjectId{1, r}, 0});
-    snap.objects[rng.below(n)].remote_fields.push_back(ref);
+    objects[rng.below(n)].remote_fields.push_back(ref);
     snap.scions.push_back({make_ref_id(9, r + 1), 1, 1 + rng.below(n), 0});
   }
+  pack_objects(snap, objects);
   return snap;
 }
 
@@ -69,20 +69,26 @@ BENCHMARK(BM_Summarize)
     ->ArgsProduct({{0, 1}, {1'000, 10'000}, {16, 128}})
     ->Unit(benchmark::kMillisecond);
 
-/// Fastest, median and slowest of `reps` timed passes, in ms.
+/// Fastest, median and slowest of `reps` timed calls of `fn`, in ms.
 struct Spread {
   double min, median, max;
 };
-Spread measure_ms(Summarizer& s, const SnapshotData& snap, int reps) {
+template <class Fn>
+Spread time_ms(int reps, Fn&& fn) {
   std::vector<double> ms;
   for (int i = 0; i < reps; ++i) {
     bench::Stopwatch sw;
-    auto out = s.summarize(snap);
-    benchmark::DoNotOptimize(out);
+    fn();
     ms.push_back(sw.ms());
   }
   std::sort(ms.begin(), ms.end());
   return {ms.front(), ms[ms.size() / 2], ms.back()};
+}
+Spread measure_ms(Summarizer& s, const SnapshotData& snap, int reps) {
+  return time_ms(reps, [&] {
+    auto out = s.summarize(snap);
+    benchmark::DoNotOptimize(out);
+  });
 }
 
 std::size_t summary_footprint(const SummarizedGraph& g) {
@@ -143,8 +149,29 @@ int main(int argc, char** argv) {
       return 1;
     }
     const Spread t = measure_ms(scc, snap, 21);
-    std::printf("%-14s %8zu %8zu %8zu %10.2f %10.2f %10.2f\n", name, snap.objects.size(),
+    std::printf("%-14s %8zu %8zu %8zu %10.2f %10.2f %10.2f\n", name, snap.num_objects(),
                 snap.stubs.size(), snap.scions.size(), t.min, t.median, t.max);
+  }
+
+  bench::header(
+      "LGC and capture on the same node heaps\n"
+      "(restored from each shape, one LGC to settle, then 21 passes of each)");
+  std::printf("%-14s %10s %10s %10s %10s %10s %10s\n", "heap", "lgc min", "lgc p50",
+              "lgc max", "cap min", "cap p50", "cap max");
+  for (const auto& [name, snap] : heaps) {
+    Heap heap;
+    StubTable stubs;
+    ScionTable scions;
+    restore_snapshot(snap, heap, stubs, scions, 0);
+    const std::set<RefId> pinned;
+    (void)lgc::run(heap, stubs, scions, pinned, 0);
+    const Spread g = time_ms(21, [&] { (void)lgc::run(heap, stubs, scions, pinned, 0); });
+    const Spread c = time_ms(21, [&] {
+      auto out = capture_snapshot(snap.pid, 0, heap, stubs, scions);
+      benchmark::DoNotOptimize(out);
+    });
+    std::printf("%-14s %10.3f %10.3f %10.3f %10.3f %10.3f %10.3f\n", name, g.min, g.median,
+                g.max, c.min, c.median, c.max);
   }
   return 0;
 }

@@ -11,7 +11,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_common.h"
-#include "src/common/stats.h"
+#include "bench/sample_stats.h"
 #include "src/sim/scenarios.h"
 
 namespace adgc {

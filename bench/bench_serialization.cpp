@@ -16,9 +16,11 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_common.h"
+#include "bench/naive_serializer.h"
 #include "src/common/arena.h"
 #include "src/net/message.h"
 #include "src/snapshot/serializer.h"
+#include "tests/snapshot_builder.h"
 
 namespace adgc {
 namespace {
@@ -29,15 +31,15 @@ SnapshotData chain_snapshot(std::size_t n, bool with_stubs) {
   SnapshotData snap;
   snap.pid = 0;
   snap.taken_at = 1;
-  snap.objects.reserve(n);
+  std::vector<SnapshotObject> objects(n);
   for (std::size_t i = 1; i <= n; ++i) {
-    SnapshotData::Obj o;
+    SnapshotObject& o = objects[i - 1];
     o.seq = i;
     if (i < n) o.local_fields.push_back(i + 1);
     if (with_stubs) o.remote_fields.push_back(make_ref_id(0, i));
-    snap.objects.push_back(std::move(o));
   }
   snap.roots = {1};
+  pack_objects(snap, objects);
   if (with_stubs) {
     snap.stubs.reserve(n);
     for (std::size_t i = 1; i <= n; ++i) {

@@ -5,13 +5,17 @@
 // byte-by-byte, and parsing reads the same format back with istream
 // extraction. The point is not to be bad gratuitously — this is the
 // classic shape of a reflective, format-per-field serializer, and it is
-// what the paper measured on Rotor.
+// what the paper measured on Rotor. It lives with the benches: only the
+// serialization bench and the serializer tests use it, and no process reads
+// its format back.
+#include "bench/naive_serializer.h"
+
 #include <charconv>
 #include <sstream>
 #include <string>
 
 #include "src/common/bytes.h"
-#include "src/snapshot/serializer.h"
+#include "tests/snapshot_builder.h"
 
 namespace adgc {
 
@@ -90,20 +94,21 @@ std::vector<std::byte> NaiveSerializer::serialize(const SnapshotData& snap) cons
   }
   {
     std::ostringstream os;
-    os << "objects " << snap.objects.size() << "\n";
+    os << "objects " << snap.num_objects() << "\n";
     out += os.str();
   }
-  for (const auto& o : snap.objects) {
+  static const std::vector<std::byte> kNoPayload;
+  for (std::size_t i = 0; i < snap.num_objects(); ++i) {
     // One fresh stream per record — the reflective-serializer allocation
     // pattern the benchmark is meant to expose.
     std::ostringstream os;
-    os << "object seq " << o.seq;
-    os << " locals " << o.local_fields.size();
-    for (ObjectSeq f : o.local_fields) os << " " << f;
-    os << " remotes " << o.remote_fields.size();
-    for (RefId f : o.remote_fields) os << " " << f;
+    os << "object seq " << snap.seqs[i];
+    os << " locals " << snap.local(i).size();
+    for (std::uint32_t t : snap.local(i)) os << " " << snap.seqs[t];
+    os << " remotes " << snap.remote(i).size();
+    for (RefId f : snap.remote(i)) os << " " << f;
     os << " payload ";
-    hex_encode(os, o.payload);
+    hex_encode(os, snap.payloads.empty() ? kNoPayload : snap.payloads[i]);
     os << "\n";
     out += os.str();
   }
@@ -162,13 +167,13 @@ SnapshotData NaiveSerializer::deserialize(std::span<const std::byte> bytes) cons
     if (kw != "objects") throw DecodeError("expected objects line");
     nobjs = field_u64(is, "objects count");
   }
-  snap.objects.reserve(nobjs);
+  std::vector<SnapshotObject> objects;
   for (std::uint64_t i = 0; i < nobjs; ++i) {
     std::istringstream is(lines.line());
     std::string kw;
     is >> kw;
     if (kw != "object") throw DecodeError("expected object record");
-    SnapshotData::Obj o;
+    SnapshotObject o;
     is >> kw;  // "seq"
     o.seq = field_u64(is, "seq");
     is >> kw;  // "locals"
@@ -181,7 +186,7 @@ SnapshotData NaiveSerializer::deserialize(std::span<const std::byte> bytes) cons
     std::string hex;
     is >> hex;
     o.payload = hex_decode(hex);
-    snap.objects.push_back(std::move(o));
+    objects.push_back(std::move(o));
   }
   std::uint64_t nstubs = 0;
   {
@@ -229,6 +234,7 @@ SnapshotData NaiveSerializer::deserialize(std::span<const std::byte> bytes) cons
     s.ic = field_u64(is, "ic");
     snap.scions.push_back(s);
   }
+  if (!pack_objects(snap, objects)) throw DecodeError("object seq repeated or out of range");
   return snap;
 }
 

@@ -1,4 +1,4 @@
-#include "src/common/stats.h"
+#include "bench/sample_stats.h"
 
 #include <algorithm>
 #include <cmath>

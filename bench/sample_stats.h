@@ -1,5 +1,5 @@
-// Small sample-statistics accumulator for benches and reports:
-// count/min/max/mean/stddev and exact percentiles (keeps all samples).
+// Small sample-statistics accumulator for the benches: count/min/max/
+// mean/stddev and exact percentiles (keeps all samples).
 #pragma once
 
 #include <cstddef>

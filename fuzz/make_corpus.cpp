@@ -10,9 +10,11 @@
 #include <string_view>
 #include <vector>
 
+#include "bench/naive_serializer.h"
 #include "src/net/frame.h"
 #include "src/net/message.h"
 #include "src/snapshot/serializer.h"
+#include "tests/snapshot_builder.h"
 
 using namespace adgc;
 
@@ -83,15 +85,17 @@ int main(int argc, char** argv) {
 
   SnapshotData snap;
   snap.pid = 1;
+  std::vector<SnapshotObject> objects;
   for (ObjectSeq i = 1; i <= 6; ++i) {
-    SnapshotData::Obj o;
+    SnapshotObject o;
     o.seq = i;
     if (i > 1) o.local_fields.push_back(i - 1);
     o.payload.assign(4, std::byte{static_cast<unsigned char>(i)});
-    snap.objects.push_back(std::move(o));
+    objects.push_back(std::move(o));
   }
   snap.stubs.push_back({make_ref_id(1, 1), {2, 2}, 3});
   snap.scions.push_back({make_ref_id(2, 1), 3, 4, 5});
+  pack_objects(snap, objects);
   write_file(dir, "snapshot_binary", BinarySerializer{}.serialize(snap));
   write_file(dir, "snapshot_naive", NaiveSerializer{}.serialize(snap));
 
@@ -101,18 +105,20 @@ int main(int argc, char** argv) {
   SnapshotData graph;
   graph.pid = 2;
   graph.roots = {1};
-  for (ObjectSeq i = 1; i <= 7; ++i) graph.objects.push_back({i, {}, {}, {}});
-  graph.objects[1].local_fields = {3};
-  graph.objects[2].local_fields = {2, 4};
-  graph.objects[4].local_fields = {4, 6};
+  std::vector<SnapshotObject> graph_objects;
+  for (ObjectSeq i = 1; i <= 7; ++i) graph_objects.push_back({i, {}, {}, {}});
+  graph_objects[1].local_fields = {3};
+  graph_objects[2].local_fields = {2, 4};
+  graph_objects[4].local_fields = {4, 6};
   const ObjectSeq holders[] = {1, 3, 4, 6, 7};
   for (std::uint64_t k = 0; k < 5; ++k) {
     graph.stubs.push_back({make_ref_id(2, k + 1), {3, k + 1}, k});
-    graph.objects[holders[k] - 1].remote_fields.push_back(make_ref_id(2, k + 1));
+    graph_objects[holders[k] - 1].remote_fields.push_back(make_ref_id(2, k + 1));
   }
   graph.scions.push_back({make_ref_id(4, 1), 4, 2, 1});
   graph.scions.push_back({make_ref_id(4, 2), 4, 5, 2});
   graph.scions.push_back({make_ref_id(5, 1), 5, 4, 0});
+  pack_objects(graph, graph_objects);
   write_file(dir, "snapshot_graph", BinarySerializer{}.serialize(graph));
 
   // TCP frame seeds. fuzz_frame_decode interprets the FIRST byte as the

@@ -57,6 +57,7 @@ class Counter {
   X(scions_deleted_cyclic)        /* via DCDA cycle-found */                                 \
   X(new_set_stubs_sent)                                                                      \
   X(new_set_stubs_unchanged)      /* NSS not sent: listing unchanged and fresh */            \
+  X(new_set_stubs_coalesced)      /* NSS held one LGC: large listing sent the run before */  \
   X(new_set_stubs_received)                                                                  \
   X(add_scion_sent)                                                                          \
   X(add_scion_retries)                                                                       \

@@ -39,6 +39,9 @@ struct ScionEntry {
   SimTime last_ic_change = 0;
   /// Whether the target was reachable from local roots at the last LGC.
   bool target_root_reachable = true;
+  /// Heap slot of `target` as the last LGC found it; a hint, checked on use
+  /// (Heap::resolve).
+  std::uint32_t target_slot = ~std::uint32_t{0};
 };
 
 class ScionTable {

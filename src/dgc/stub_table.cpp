@@ -5,9 +5,18 @@ namespace adgc {
 StubEntry& StubTable::ensure(RefId ref, ObjectId target, SimTime now) {
   auto [it, inserted] = entries_.try_emplace(ref);
   if (inserted) {
-    it->second.ref = ref;
-    it->second.target = target;
-    it->second.created_at = now;
+    StubEntry& e = it->second;
+    e.ref = ref;
+    e.target = target;
+    e.created_at = now;
+    if (free_slots_.empty()) {
+      e.slot = slot_end();
+      slot_ref_.push_back(ref);
+    } else {
+      e.slot = free_slots_.back();
+      free_slots_.pop_back();
+      slot_ref_[e.slot] = ref;
+    }
     ++versions_[target.owner];
   }
   return it->second;
@@ -17,7 +26,15 @@ void StubTable::erase(RefId ref) {
   auto it = entries_.find(ref);
   if (it == entries_.end()) return;
   ++versions_[it->second.target.owner];
+  slot_ref_[it->second.slot] = kNoRef;
+  free_slots_.push_back(it->second.slot);
   entries_.erase(it);
+}
+
+std::uint32_t StubTable::resolve(RefId ref, std::uint32_t& hint) const {
+  if (hint < slot_ref_.size() && slot_ref_[hint] == ref && ref != kNoRef) return hint;
+  const StubEntry* e = find(ref);
+  return hint = e ? e->slot : ~std::uint32_t{0};
 }
 
 std::uint64_t StubTable::listing_version(ProcessId owner) const {

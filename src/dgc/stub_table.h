@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <map>
+#include <vector>
 
 #include "src/common/config.h"
 #include "src/common/ids.h"
@@ -24,6 +25,9 @@ struct StubEntry {
   /// Whether some holder is reachable from the local root (set by the LGC).
   bool local_reach = false;
   SimTime created_at = 0;
+  /// Dense index the table gives the entry (StubTable::resolve); stable
+  /// while the entry lives, reused after it is erased.
+  std::uint32_t slot = 0;
 };
 
 class StubTable {
@@ -35,6 +39,13 @@ class StubTable {
   const StubEntry* find(RefId ref) const;
   bool contains(RefId ref) const { return entries_.contains(ref); }
   void erase(RefId ref);
+
+  /// The slot of `ref` (~0 if none), through `hint` while that slot is still
+  /// ref's, else looked up with the hint refreshed: the LGC counts holders
+  /// into arrays by slot, with no map lookup per remote field.
+  std::uint32_t resolve(RefId ref, std::uint32_t& hint) const;
+  /// One past the highest slot.
+  std::uint32_t slot_end() const { return static_cast<std::uint32_t>(slot_ref_.size()); }
 
   /// Version of the listing toward `owner` (the refs a NewSetStubs to it
   /// carries): inserting or erasing a stub toward `owner` advances it, and
@@ -50,6 +61,8 @@ class StubTable {
  private:
   std::map<RefId, StubEntry> entries_;  // ordered: deterministic iteration
   std::map<ProcessId, std::uint64_t> versions_;
+  std::vector<RefId> slot_ref_;  // slot -> its entry's ref; kNoRef when free
+  std::vector<std::uint32_t> free_slots_;
 };
 
 }  // namespace adgc

@@ -2,81 +2,86 @@
 
 #include <vector>
 
+#include "src/common/walk.h"
+
 namespace adgc::lgc {
 
-std::unordered_set<ObjectSeq> reach_from(const Heap& heap,
-                                         const std::vector<ObjectSeq>& seeds) {
-  std::unordered_set<ObjectSeq> marked;
-  std::vector<ObjectSeq> stack;
-  for (ObjectSeq s : seeds) {
-    if (heap.exists(s) && marked.insert(s).second) stack.push_back(s);
-  }
-  while (!stack.empty()) {
-    const ObjectSeq cur = stack.back();
-    stack.pop_back();
-    const HeapObject* obj = heap.find(cur);
-    for (ObjectSeq next : obj->local_fields) {
-      if (heap.exists(next) && marked.insert(next).second) stack.push_back(next);
-    }
-  }
-  return marked;
+namespace {
+
+/// Colours `colour` every object reachable from `seeds` that is not yet
+/// marked in this pass (its colour is below `floor`).
+void mark(Heap& heap, const std::vector<Slot>& seeds, std::uint64_t floor,
+          std::uint64_t colour) {
+  walk<Slot>(
+      seeds,
+      [&](Slot s) {
+        if (s == kNoSlot || heap.colour(s) >= floor) return false;
+        heap.set_colour(s, colour);
+        return true;
+      },
+      [&](Slot s, const auto& visit) {
+        heap.for_each_local(s, visit);
+        return true;
+      });
 }
 
+}  // namespace
+
 Result run(Heap& heap, StubTable& stubs, ScionTable& scions,
-           const std::set<RefId>& pinned_stubs, SimTime now) {
+           const std::set<RefId>& pinned_stubs, SimTime /*now*/) {
   Result res;
   res.objects_before = heap.size();
 
-  // Mark 1: from local roots only (defines Local.Reach and the candidate
-  // heuristic's "locally reachable" notion).
-  std::vector<ObjectSeq> root_seeds(heap.roots().begin(), heap.roots().end());
-  res.root_reachable = reach_from(heap, root_seeds);
-
-  // Mark 2: full liveness = roots ∪ scion targets.
-  std::vector<ObjectSeq> full_seeds = root_seeds;
-  for (const auto& [ref, scion] : scions) {
-    full_seeds.push_back(scion.target);
+  // Mark: the root colour first, so the scion colour only takes what the
+  // roots do not reach.
+  const std::uint64_t root = heap.fresh_colours();
+  std::vector<Slot> seeds;
+  for (Slot s = 0; s < heap.slot_end(); ++s) {
+    if (heap.rooted(s)) seeds.push_back(s);
   }
-  const std::unordered_set<ObjectSeq> live = reach_from(heap, full_seeds);
-
-  // Sweep.
-  std::vector<ObjectSeq> dead;
-  dead.reserve(heap.size() - live.size());
-  for (const auto& [seq, obj] : heap.objects()) {
-    if (!live.contains(seq)) dead.push_back(seq);
+  mark(heap, seeds, root, root);
+  // The root colour is final now: refresh the candidate heuristic's view of
+  // each scion's target on the way.
+  seeds.clear();
+  for (auto& [ref, scion] : scions) {
+    const Slot t = scion.target_slot = heap.resolve(scion.target, scion.target_slot);
+    scion.target_root_reachable = t != kNoSlot && heap.colour(t) == root;
+    seeds.push_back(t);
   }
-  for (ObjectSeq seq : dead) heap.remove(seq);
-  res.objects_reclaimed = dead.size();
+  mark(heap, seeds, root, root + 1);
 
-  // Recompute stub holder counts and Local.Reach from the surviving heap.
-  for (auto& [ref, stub] : stubs) {
-    stub.holders = 0;
-    stub.local_reach = false;
-  }
-  for (const auto& [seq, obj] : heap.objects()) {
-    const bool from_root = res.root_reachable.contains(seq);
-    for (RefId ref : obj.remote_fields) {
-      if (StubEntry* stub = stubs.find(ref)) {
-        ++stub->holders;
-        stub->local_reach = stub->local_reach || from_root;
-      }
+  // One pass over the slots: sweep the unmarked, and count the survivors'
+  // stub holders and Local.Reach into arrays by stub slot.
+  std::vector<std::uint32_t> holders(stubs.slot_end(), 0);
+  std::vector<bool> local_reach(stubs.slot_end(), false);
+  for (Slot s = 0; s < heap.slot_end(); ++s) {
+    const HeapObject* obj = heap.at(s);
+    if (!obj) continue;
+    const std::uint64_t c = heap.colour(s);
+    if (c < root) {
+      heap.free(s);
+      ++res.objects_reclaimed;
+      continue;
+    }
+    const std::span<std::uint32_t> hints = heap.stub_hints(s);
+    for (std::size_t k = 0; k < hints.size(); ++k) {
+      const std::uint32_t t = stubs.resolve(obj->remote_fields[k], hints[k]);
+      if (t == kNoSlot) continue;
+      ++holders[t];
+      if (c == root) local_reach[t] = true;
     }
   }
 
-  // Delete orphaned stubs (unless pinned by an in-flight export).
+  // Store the counts, and delete orphaned stubs (unless pinned by an
+  // in-flight export).
   std::vector<RefId> doomed;
-  for (const auto& [ref, stub] : stubs) {
+  for (auto& [ref, stub] : stubs) {
+    stub.holders = holders[stub.slot];
+    stub.local_reach = local_reach[stub.slot];
     if (stub.holders == 0 && !pinned_stubs.contains(ref)) doomed.push_back(ref);
   }
   for (RefId ref : doomed) stubs.erase(ref);
   res.stubs_deleted = doomed.size();
-
-  // Refresh the candidate heuristic's view of scion targets.
-  for (auto& [ref, scion] : scions) {
-    scion.target_root_reachable = res.root_reachable.contains(scion.target);
-    (void)now;
-  }
-
   return res;
 }
 

@@ -12,10 +12,14 @@
 // `pinned_stubs` are references currently being exported through the
 // scion-first handshake: they must survive (and count as live for
 // NewSetStubs) even if no heap object holds them anymore.
+//
+// One two-colour mark over the heap's slots: what the roots reach gets the
+// root colour, what only the scions reach the scion colour, and anything
+// left below both is garbage. One pass over the slots then sweeps, counts
+// stub holders and sets Local.Reach from the colours.
 #pragma once
 
 #include <set>
-#include <unordered_set>
 
 #include "src/common/config.h"
 #include "src/dgc/scion_table.h"
@@ -28,16 +32,9 @@ struct Result {
   std::size_t objects_before = 0;
   std::size_t objects_reclaimed = 0;
   std::size_t stubs_deleted = 0;
-  /// Objects reachable from local roots only (no scions), post-sweep.
-  std::unordered_set<ObjectSeq> root_reachable;
 };
 
 Result run(Heap& heap, StubTable& stubs, ScionTable& scions,
            const std::set<RefId>& pinned_stubs, SimTime now);
-
-/// Mark phase only: the set of objects transitively reachable from `seeds`
-/// through local fields. Shared with the summarizer and the oracle.
-std::unordered_set<ObjectSeq> reach_from(const Heap& heap,
-                                         const std::vector<ObjectSeq>& seeds);
 
 }  // namespace adgc::lgc

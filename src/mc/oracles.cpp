@@ -1,8 +1,8 @@
 #include "src/mc/oracles.h"
 
-#include <deque>
 #include <sstream>
 
+#include "src/common/walk.h"
 #include "src/sim/harness.h"
 
 namespace adgc::mc {
@@ -15,9 +15,7 @@ bool is_tainted(const std::unordered_set<ProcessId>* tainted, ProcessId pid) {
 
 std::optional<std::string> check_reachable_intact(
     const Runtime& rt, const std::unordered_set<ProcessId>* tainted) {
-  std::unordered_set<ObjectId> visited;
-  std::deque<ObjectId> frontier;
-
+  std::vector<ObjectId> seeds;
   for (ProcessId pid = 0; pid < rt.size(); ++pid) {
     if (!rt.alive(pid)) continue;
     for (ObjectSeq seq : rt.proc(pid).heap().roots()) {
@@ -27,59 +25,57 @@ std::optional<std::string> check_reachable_intact(
            << " was collected";
         return os.str();
       }
-      if (visited.insert({pid, seq}).second) frontier.push_back({pid, seq});
+      seeds.push_back({pid, seq});
     }
   }
 
-  while (!frontier.empty()) {
-    const ObjectId cur = frontier.front();
-    frontier.pop_front();
-    const Process& proc = rt.proc(cur.owner);
-    const HeapObject* obj = proc.heap().find(cur.seq);
-    if (!obj) continue;  // unreachable: insertion guaranteed existence
-    for (ObjectSeq next : obj->local_fields) {
-      if (!proc.heap().exists(next)) {
-        std::ostringstream os;
-        os << "SAFETY: live " << to_string(cur) << " holds local field to collected "
-           << to_string(ObjectId{cur.owner, next});
-        return os.str();
-      }
-      if (visited.insert({cur.owner, next}).second) {
-        frontier.push_back({cur.owner, next});
-      }
-    }
-    for (RefId ref : obj->remote_fields) {
-      const StubEntry* stub = proc.stubs().find(ref);
-      if (!stub) {
-        std::ostringstream os;
-        os << "SAFETY: live " << to_string(cur) << " holds remote ref "
-           << ref_to_string(ref) << " with no stub entry";
-        return os.str();
-      }
-      const ProcessId owner = stub->target.owner;
-      // Crash-tainted endpoints may legitimately dangle: a crash loses the
-      // owner's tables (or rolled them back to an older snapshot).
-      if (owner >= rt.size() || !rt.alive(owner) || is_tainted(tainted, owner) ||
-          is_tainted(tainted, cur.owner)) {
-        continue;
-      }
-      const Process& owner_proc = rt.proc(owner);
-      if (!owner_proc.scions().contains(ref)) {
-        std::ostringstream os;
-        os << "SAFETY: scion " << ref_to_string(ref) << " at P" << owner
-           << " dropped while live " << to_string(cur) << " still holds the stub";
-        return os.str();
-      }
-      if (!owner_proc.heap().exists(stub->target.seq)) {
-        std::ostringstream os;
-        os << "SAFETY: remotely referenced " << to_string(stub->target)
-           << " was collected under live holder " << to_string(cur);
-        return os.str();
-      }
-      if (visited.insert(stub->target).second) frontier.push_back(stub->target);
-    }
-  }
-  return std::nullopt;
+  // Every object marked exists: a seed was checked above, and a successor is
+  // checked before it is visited.
+  std::unordered_set<ObjectId> visited;
+  std::optional<std::string> violation;
+  const auto fail = [&](const std::string& what) {
+    violation = "SAFETY: " + what;
+    return false;
+  };
+  walk<ObjectId>(
+      seeds, [&](const ObjectId& id) { return visited.insert(id).second; },
+      [&](const ObjectId& cur, const auto& visit) {
+        const Process& proc = rt.proc(cur.owner);
+        const HeapObject* obj = proc.heap().find(cur.seq);
+        for (ObjectSeq next : obj->local_fields) {
+          if (!proc.heap().exists(next)) {
+            return fail("live " + to_string(cur) + " holds local field to collected " +
+                        to_string(ObjectId{cur.owner, next}));
+          }
+          visit({cur.owner, next});
+        }
+        for (RefId ref : obj->remote_fields) {
+          const StubEntry* stub = proc.stubs().find(ref);
+          if (!stub) {
+            return fail("live " + to_string(cur) + " holds remote ref " + ref_to_string(ref) +
+                        " with no stub entry");
+          }
+          const ProcessId owner = stub->target.owner;
+          // Crash-tainted endpoints may legitimately dangle: a crash loses
+          // the owner's tables (or rolled them back to an older snapshot).
+          if (owner >= rt.size() || !rt.alive(owner) || is_tainted(tainted, owner) ||
+              is_tainted(tainted, cur.owner)) {
+            continue;
+          }
+          const Process& owner_proc = rt.proc(owner);
+          if (!owner_proc.scions().contains(ref)) {
+            return fail("scion " + ref_to_string(ref) + " at P" + std::to_string(owner) +
+                        " dropped while live " + to_string(cur) + " still holds the stub");
+          }
+          if (!owner_proc.heap().exists(stub->target.seq)) {
+            return fail("remotely referenced " + to_string(stub->target) +
+                        " was collected under live holder " + to_string(cur));
+          }
+          visit(stub->target);
+        }
+        return true;
+      });
+  return violation;
 }
 
 std::optional<std::string> check_objects_exist(
@@ -105,12 +101,13 @@ std::optional<std::string> check_no_garbage(const Runtime& rt) {
   // Name one surviving garbage object for the diagnostic.
   for (ProcessId pid = 0; pid < rt.size(); ++pid) {
     if (!rt.alive(pid)) continue;
-    for (const auto& [seq, obj] : rt.proc(pid).heap().objects()) {
-      (void)obj;
-      if (!live.contains({pid, seq})) {
+    const Heap& heap = rt.proc(pid).heap();
+    for (Slot s = 0; s < heap.slot_end(); ++s) {
+      const HeapObject* obj = heap.at(s);
+      if (obj && !live.contains({pid, obj->seq})) {
         std::ostringstream os;
         os << "LIVENESS: " << (total - live.size()) << " garbage object(s) remain, e.g. "
-           << to_string(ObjectId{pid, seq});
+           << to_string(ObjectId{pid, obj->seq});
         return os.str();
       }
     }

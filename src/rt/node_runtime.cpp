@@ -113,9 +113,14 @@ void NodeRuntime::start() {
 void NodeRuntime::stop(SimTime drain_us) {
   if (!running_.exchange(false)) return;
   host_->stop();
-  // Loop thread is gone; hand any batched control messages to the transport
-  // so the drain below can put them on the wire.
-  if (Process* proc = host_->process()) proc->flush_batches();
+  // Loop thread is gone. Wait out the snapshot worker, so that no persist
+  // touches the state directory once stop() returns, then hand any batched
+  // control messages to the transport so the drain below can put them on
+  // the wire.
+  if (Process* proc = host_->process()) {
+    proc->cancel_snapshot();
+    proc->flush_batches();
+  }
   if (transport_) transport_->stop(drain_us);
 }
 

@@ -63,8 +63,10 @@ class NodeRuntime {
   /// the IO and loop threads and kicks off the periodic collectors.
   void start();
 
-  /// Clean drain: stops the loop thread, then gives the transport up to
-  /// `drain_us` to flush queued writes. Idempotent (the SIGTERM path).
+  /// Clean drain: stops the loop thread, waits out a running snapshot pass
+  /// (so nothing writes to `state_dir` after the return), then gives the
+  /// transport up to `drain_us` to flush queued writes. Idempotent (the
+  /// SIGTERM path).
   void stop(SimTime drain_us = 200'000);
 
   bool running() const { return running_.load(std::memory_order_acquire); }

@@ -586,6 +586,7 @@ void Process::run_lgc() {
   // trace stays a pure function of (config, seed).
   const auto wall_start = std::chrono::steady_clock::now();
   const SimTime vt_start = env_.now();
+  ++lgc_run_;
   if (cfg_.dgc_enabled && cfg_.peer_death_timeout_us > 0) maybe_evict_peers();
   const std::size_t pruned = peer_health_.prune_idle(env_.now(), kPeerHealthIdlePruneUs);
   if (pruned > 0) metrics().peer_health_slots_pruned.add(pruned);
@@ -628,12 +629,25 @@ void Process::run_lgc() {
   // repairs a lost NSS and lists every held reference about
   // `scion_pending_expiry_factor` times before an unconfirmed scion (one an
   // owner restart restored, say) could expire as an orphan.
+  //
+  // A large listing coalesces: when the previous run sent this contact a
+  // listing longer than one batch holds, a change waits one more run. Such
+  // a listing needs a frame of its own and costs O(refs) to build, encode,
+  // decode and apply; a NewSetStubs is full-state and idempotent, so the
+  // wait only postpones deletions and confirmations by one period.
+  const std::size_t large = cfg_.batch_max_bytes / sizeof(RefId);
   std::set<ProcessId> due;
   for (ProcessId dst : contacts_) {
     const auto it = nss_sent_.find(dst);
-    if (it == nss_sent_.end() || it->second.version != stubs_.listing_version(dst) ||
-        env_.now() >= it->second.at + cfg_.scion_pending_grace_us) {
+    const bool refresh =
+        it == nss_sent_.end() || env_.now() >= it->second.at + cfg_.scion_pending_grace_us;
+    const bool changed = !refresh && it->second.version != stubs_.listing_version(dst);
+    const bool coalesce = changed && it->second.refs > large && it->second.lgc != 0 &&
+                          it->second.lgc + 1 == lgc_run_;
+    if (refresh || (changed && !coalesce)) {
       due.insert(dst);
+    } else if (coalesce) {
+      metrics().new_set_stubs_coalesced.add();
     } else {
       metrics().new_set_stubs_unchanged.add();
     }
@@ -642,12 +656,14 @@ void Process::run_lgc() {
   // One stub-table pass builds the payload for every due contact (the
   // per-peer batcher then coalesces each NSS with whatever control traffic
   // is already queued toward that peer).
-  for (auto& [dst, msg] : build_all_new_set_stubs(stubs_, due)) send_new_set_stubs(dst, msg);
+  for (auto& [dst, msg] : build_all_new_set_stubs(stubs_, due)) {
+    send_new_set_stubs(dst, msg, lgc_run_);
+  }
   obs::emit(env_.trace(),
             {env_.now(), pid_, obs::EventType::kNssRound, 0, 0, due.size(), 0});
 }
 
-void Process::send_new_set_stubs(ProcessId dst, NewSetStubsMsg& msg) {
+void Process::send_new_set_stubs(ProcessId dst, NewSetStubsMsg& msg, std::uint64_t lgc) {
   // The export sequence is epoch-stamped with the incarnation so the first
   // message after a restart (local counter back at 1) still sorts above
   // everything the lost incarnation sent.
@@ -655,6 +671,8 @@ void Process::send_new_set_stubs(ProcessId dst, NewSetStubsMsg& msg) {
   msg.export_seq = incarnation_epoch(incarnation_, ++sent.seq);
   sent.version = stubs_.listing_version(dst);
   sent.at = env_.now();
+  sent.refs = msg.live.size();
+  sent.lgc = lgc;
   metrics().new_set_stubs_sent.add();
   send(dst, msg);
 }
@@ -663,7 +681,8 @@ SnapshotData Process::capture_for_snapshot(std::uint64_t* version_out,
                                            SimTime* vt_out) {
   const auto wall_start = std::chrono::steady_clock::now();
   const SimTime vt_start = env_.now();
-  SnapshotData snap = capture_snapshot(pid_, env_.now(), heap_, stubs_, scions_);
+  SnapshotData snap = capture_snapshot(pid_, env_.now(), heap_, stubs_, scions_,
+                                       /*with_payloads=*/store_ != nullptr);
   metrics().snapshots_taken.add();
   // Versions are assigned at capture, so a synchronous snapshot taken while
   // a pipelined one is in flight still sorts above it.
@@ -789,7 +808,7 @@ void Process::on_nss_solicit(ProcessId src) {
   // about to convict us on silence, and an empty set is as meaningful an
   // answer as a full one — it expires every scion we no longer (or never)
   // back, e.g. after we restarted from a snapshot predating the stubs.
-  send_new_set_stubs(src, build_all_new_set_stubs(stubs_, {src}).at(src));
+  send_new_set_stubs(src, build_all_new_set_stubs(stubs_, {src}).at(src), /*lgc=*/0);
 }
 
 void Process::maybe_evict_peers() {
@@ -897,11 +916,12 @@ void Process::evict_peer(ProcessId peer) {
     if (stub.target.owner == peer) dead_refs.push_back(ref);
   }
   if (!dead_refs.empty()) {
-    for (auto& [seq, obj] : heap_.objects()) {
-      (void)seq;
-      std::erase_if(obj.remote_fields, [&](RefId r) {
-        return std::binary_search(dead_refs.begin(), dead_refs.end(), r);
-      });
+    for (Slot s = 0; s < heap_.slot_end(); ++s) {
+      if (HeapObject* obj = heap_.at(s)) {
+        std::erase_if(obj->remote_fields, [&](RefId r) {
+          return std::binary_search(dead_refs.begin(), dead_refs.end(), r);
+        });
+      }
     }
   }
   for (RefId ref : dead_refs) {

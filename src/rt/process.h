@@ -203,6 +203,10 @@ class Process {
   std::uint64_t snapshot_version() const { return snapshot_version_; }
   /// True while a pipelined snapshot is between capture and publish.
   bool snapshot_in_flight() const { return pipeline_ && pipeline_->in_flight(); }
+  /// Waits out a running pipeline pass (its persist included) and drops any
+  /// result not yet published. For shutdown, after the actor loop stopped:
+  /// no snapshot stage runs again until the next request.
+  void cancel_snapshot() { pipeline_->cancel_in_flight(); }
   SimTime now() const { return env_.now(); }
   Env& env() { return env_; }
   std::size_t pending_exports() const { return handshakes_.size(); }
@@ -233,19 +237,23 @@ class Process {
   };
 
   /// The last NewSetStubs sent to a contact: its export sequence, the
-  /// listing version it carried, and when it left.
+  /// listing version it carried, when it left, how many refs it listed and
+  /// which LGC run sent it (0: an NssSolicit answer).
   struct NssSent {
     std::uint64_t seq = 0;
     std::uint64_t version = 0;
     SimTime at = 0;
+    std::size_t refs = 0;
+    std::uint64_t lgc = 0;
   };
 
   RefId fresh_ref_id() { return make_ref_id(pid_, next_ref_counter_++); }
 
   void send(ProcessId dst, const MessagePayload& msg);
   /// Stamps `msg` with the next export sequence toward `dst`, records the
-  /// listing version it carries and sends it.
-  void send_new_set_stubs(ProcessId dst, NewSetStubsMsg& msg);
+  /// listing it carries (version, size, the sending LGC run `lgc`) and
+  /// sends it.
+  void send_new_set_stubs(ProcessId dst, NewSetStubsMsg& msg, std::uint64_t lgc);
 
   // Message handlers.
   void dispatch(ProcessId src, const MessagePayload& msg);
@@ -315,6 +323,7 @@ class Process {
   std::uint64_t next_call_id_ = 1;
   std::uint64_t next_handshake_ = 1;
   std::map<ProcessId, NssSent> nss_sent_;
+  std::uint64_t lgc_run_ = 0;  // LGC runs so far; numbers them from 1
   std::set<ProcessId> contacts_;  // processes that ever held our stubs' targets
 
   std::map<std::uint64_t, PendingInvoke> pending_invokes_;

@@ -1,44 +1,32 @@
 #include "src/sim/harness.h"
 
-#include <deque>
+#include "src/common/walk.h"
 
 namespace adgc::sim {
 
 std::unordered_set<ObjectId> global_live_set(const Runtime& rt) {
-  std::unordered_set<ObjectId> live;
-  std::deque<ObjectId> frontier;
-
   // Crashed processes contribute nothing: their roots and heaps are gone.
+  std::vector<ObjectId> roots;
   for (ProcessId pid = 0; pid < rt.size(); ++pid) {
     if (!rt.alive(pid)) continue;
-    for (ObjectSeq seq : rt.proc(pid).heap().roots()) {
-      ObjectId id{pid, seq};
-      if (rt.proc(pid).heap().exists(seq) && live.insert(id).second) {
-        frontier.push_back(id);
-      }
-    }
+    for (ObjectSeq seq : rt.proc(pid).heap().roots()) roots.push_back({pid, seq});
   }
-
-  while (!frontier.empty()) {
-    const ObjectId cur = frontier.front();
-    frontier.pop_front();
-    const Process& proc = rt.proc(cur.owner);
-    const HeapObject* obj = proc.heap().find(cur.seq);
-    if (!obj) continue;
-    for (ObjectSeq next : obj->local_fields) {
-      ObjectId id{cur.owner, next};
-      if (proc.heap().exists(next) && live.insert(id).second) frontier.push_back(id);
-    }
-    for (RefId ref : obj->remote_fields) {
-      const StubEntry* stub = proc.stubs().find(ref);
-      if (!stub) continue;
-      const ObjectId id = stub->target;
-      if (id.owner < rt.size() && rt.alive(id.owner) &&
-          rt.proc(id.owner).heap().exists(id.seq) && live.insert(id).second) {
-        frontier.push_back(id);
-      }
-    }
-  }
+  std::unordered_set<ObjectId> live;
+  walk<ObjectId>(
+      roots,
+      [&](const ObjectId& id) {
+        return id.owner < rt.size() && rt.alive(id.owner) &&
+               rt.proc(id.owner).heap().exists(id.seq) && live.insert(id).second;
+      },
+      [&](const ObjectId& cur, const auto& visit) {
+        const Process& proc = rt.proc(cur.owner);
+        const HeapObject* obj = proc.heap().find(cur.seq);
+        for (ObjectSeq next : obj->local_fields) visit({cur.owner, next});
+        for (RefId ref : obj->remote_fields) {
+          if (const StubEntry* stub = proc.stubs().find(ref)) visit(stub->target);
+        }
+        return true;
+      });
   return live;
 }
 

@@ -1,7 +1,8 @@
 #include "src/sim/workload.h"
 
 #include <algorithm>
-#include <deque>
+
+#include "src/common/walk.h"
 
 namespace adgc::sim {
 
@@ -32,19 +33,12 @@ void ShadowGraph::remove_edge(ObjectId from, ObjectId to) {
 
 std::unordered_set<ObjectId> ShadowGraph::live() const {
   std::unordered_set<ObjectId> live;
-  std::deque<ObjectId> frontier;
-  for (ObjectId r : roots_) {
-    if (out_.contains(r) && live.insert(r).second) frontier.push_back(r);
-  }
-  while (!frontier.empty()) {
-    const ObjectId cur = frontier.front();
-    frontier.pop_front();
-    auto it = out_.find(cur);
-    if (it == out_.end()) continue;
-    for (ObjectId next : it->second) {
-      if (out_.contains(next) && live.insert(next).second) frontier.push_back(next);
-    }
-  }
+  walk<ObjectId>(
+      roots_, [&](ObjectId id) { return out_.contains(id) && live.insert(id).second; },
+      [&](ObjectId cur, const auto& visit) {
+        for (ObjectId next : out_.at(cur)) visit(next);
+        return true;
+      });
   return live;
 }
 

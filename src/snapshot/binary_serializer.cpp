@@ -16,18 +16,17 @@ std::vector<std::byte> BinarySerializer::serialize(const SnapshotData& snap) con
   w.u32(static_cast<std::uint32_t>(snap.roots.size()));
   for (ObjectSeq r : snap.roots) w.u64(r);
 
-  w.u32(static_cast<std::uint32_t>(snap.objects.size()));
-  for (const auto& o : snap.objects) {
-    w.u64(o.seq);
-    w.u32(static_cast<std::uint32_t>(o.local_fields.size()));
-    if (!o.local_fields.empty()) {
-      w.raw(o.local_fields.data(), o.local_fields.size() * sizeof(ObjectSeq));
-    }
-    w.u32(static_cast<std::uint32_t>(o.remote_fields.size()));
-    if (!o.remote_fields.empty()) {
-      w.raw(o.remote_fields.data(), o.remote_fields.size() * sizeof(RefId));
-    }
-    w.bytes(o.payload);
+  static const std::vector<std::byte> kNoPayload;
+  w.u32(static_cast<std::uint32_t>(snap.num_objects()));
+  for (std::size_t i = 0; i < snap.num_objects(); ++i) {
+    w.u64(snap.seqs[i]);
+    const std::span<const std::uint32_t> local = snap.local(i);
+    w.u32(static_cast<std::uint32_t>(local.size()));
+    for (std::uint32_t t : local) w.u64(snap.seqs[t]);
+    const std::span<const RefId> remote = snap.remote(i);
+    w.u32(static_cast<std::uint32_t>(remote.size()));
+    if (!remote.empty()) w.raw(remote.data(), remote.size() * sizeof(RefId));
+    w.bytes(snap.payloads.empty() ? kNoPayload : snap.payloads[i]);
   }
 
   w.u32(static_cast<std::uint32_t>(snap.stubs.size()));
@@ -62,20 +61,20 @@ SnapshotData BinarySerializer::deserialize(std::span<const std::byte> bytes) con
 
   const std::uint32_t nobjs = r.u32();
   if (nobjs > r.remaining() / 20) throw DecodeError("objects overrun");  // seq + 3 lengths
-  snap.objects.reserve(nobjs);
+  std::vector<ObjectSeq> local_seqs;  // resolved to indices by link_snapshot
+  snap.seqs.reserve(nobjs);
+  snap.payloads.reserve(nobjs);
   for (std::uint32_t i = 0; i < nobjs; ++i) {
-    SnapshotData::Obj o;
-    o.seq = r.u64();
+    snap.seqs.push_back(r.u64());
     const std::uint32_t nl = r.u32();
     if (nl > r.remaining() / sizeof(ObjectSeq)) throw DecodeError("local fields overrun");
-    o.local_fields.reserve(nl);
-    for (std::uint32_t k = 0; k < nl; ++k) o.local_fields.push_back(r.u64());
+    for (std::uint32_t k = 0; k < nl; ++k) local_seqs.push_back(r.u64());
+    snap.edge_at.push_back(static_cast<std::uint32_t>(local_seqs.size()));
     const std::uint32_t nr = r.u32();
     if (nr > r.remaining() / sizeof(RefId)) throw DecodeError("remote fields overrun");
-    o.remote_fields.reserve(nr);
-    for (std::uint32_t k = 0; k < nr; ++k) o.remote_fields.push_back(r.u64());
-    o.payload = r.bytes();
-    snap.objects.push_back(std::move(o));
+    for (std::uint32_t k = 0; k < nr; ++k) snap.refs.push_back(r.u64());
+    snap.ref_at.push_back(static_cast<std::uint32_t>(snap.refs.size()));
+    snap.payloads.push_back(r.bytes());
   }
 
   const std::uint32_t nstubs = r.u32();
@@ -101,6 +100,11 @@ SnapshotData BinarySerializer::deserialize(std::span<const std::byte> bytes) con
     snap.scions.push_back(s);
   }
   r.expect_done();
+  // Recovery adopts every object into a heap: a seq the heap cannot hold,
+  // or one that appears twice, makes the snapshot unrestorable.
+  if (!link_snapshot(snap, local_seqs)) {
+    throw DecodeError("object seq repeated or out of range");
+  }
   return snap;
 }
 

@@ -11,11 +11,13 @@
 // stub or joins two different non-empty successor rows; any other shares its
 // one non-empty successor's row, or has none. Rows are counted before they
 // are allocated. A scion's StubsFrom is the row of its target's component.
-// Local.Reach is a traversal of its own from the roots.
+// Local.Reach is a walk of its own from the roots. The snapshot's edges are
+// object indices already, so nothing is looked up by seq.
 #include <algorithm>
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/walk.h"
 #include "src/snapshot/summarizer.h"
 
 namespace adgc {
@@ -43,16 +45,7 @@ void init_summary_entries(const SnapshotData& snap, SummarizedGraph& out) {
 SummarizedGraph SccSummarizer::summarize(const SnapshotData& snap) {
   SummarizedGraph out;
   init_summary_entries(snap, out);
-  const std::size_t n = snap.objects.size();
-  std::unordered_map<ObjectSeq, std::uint32_t> obj_index;  // a repeated seq keeps its first
-  obj_index.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    obj_index.try_emplace(snap.objects[i].seq, static_cast<std::uint32_t>(i));
-  }
-  auto find_obj = [&](ObjectSeq seq) {
-    auto it = obj_index.find(seq);
-    return it == obj_index.end() ? kNone : it->second;
-  };
+  const std::size_t n = snap.num_objects();
 
   // --- Tarjan SCC from the scion targets, iterative ---
   // Visited objects are numbered in visit order (their Tarjan index). Visit
@@ -73,12 +66,10 @@ SummarizedGraph SccSummarizer::summarize(const SnapshotData& snap) {
     low.push_back(v);
     comp.push_back(kNone);
     tarjan_stack.push_back(v);
-    for (ObjectSeq next : snap.objects[obj].local_fields) {
-      const std::uint32_t t = find_obj(next);
-      if (t != kNone) edges.push_back(t);
-    }
+    const std::span<const std::uint32_t> local = snap.local(obj);
+    edges.insert(edges.end(), local.begin(), local.end());
     edge_at.push_back(static_cast<std::uint32_t>(edges.size()));
-    for (RefId ref : snap.objects[obj].remote_fields) {
+    for (RefId ref : snap.remote(obj)) {
       if (!out.stubs.contains(ref)) continue;
       const auto [it, fresh] =
           stub_bit.try_emplace(ref, static_cast<std::uint32_t>(stub_ids.size()));
@@ -97,7 +88,7 @@ SummarizedGraph SccSummarizer::summarize(const SnapshotData& snap) {
   std::vector<std::uint32_t> target;  // scion -> target object index
   target.reserve(snap.scions.size());
   for (const auto& s : snap.scions) {
-    const std::uint32_t start = find_obj(s.target);
+    const std::uint32_t start = s.obj;
     target.push_back(start);
     if (start == kNone || num[start] != kNone) continue;
     const std::uint32_t v0 = visit(start);
@@ -201,23 +192,21 @@ SummarizedGraph SccSummarizer::summarize(const SnapshotData& snap) {
 
   // --- Local.Reach: the stubs held by objects reachable from the roots ---
   std::vector<bool> from_root(n, false);
-  std::vector<std::uint32_t> stack;
-  auto reach = [&](ObjectSeq seq) {
-    const std::uint32_t i = find_obj(seq);
-    if (i == kNone || from_root[i]) return;
-    from_root[i] = true;
-    stack.push_back(i);
-  };
-  for (ObjectSeq r : snap.roots) reach(r);
-  while (!stack.empty()) {
-    const SnapshotData::Obj& o = snap.objects[stack.back()];
-    stack.pop_back();
-    for (RefId ref : o.remote_fields) {
-      auto it = out.stubs.find(ref);
-      if (it != out.stubs.end()) it->second.local_reach = true;
-    }
-    for (ObjectSeq next : o.local_fields) reach(next);
-  }
+  walk<std::uint32_t>(
+      snap.root_objs,
+      [&](std::uint32_t i) {
+        if (from_root[i]) return false;
+        from_root[i] = true;
+        return true;
+      },
+      [&](std::uint32_t i, const auto& visit) {
+        for (RefId ref : snap.remote(i)) {
+          auto it = out.stubs.find(ref);
+          if (it != out.stubs.end()) it->second.local_reach = true;
+        }
+        for (std::uint32_t t : snap.local(i)) visit(t);
+        return true;
+      });
 
   finalize_summary(out);
   return out;

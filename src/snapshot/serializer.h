@@ -4,10 +4,10 @@
 // allocation-heavy serializer took ~26 s for a 10k-object graph, while
 // production .NET took 250-350 ms (~100×). We model both ends:
 //
-//  * NaiveSerializer — field-by-field textual encoding with per-value
-//    string formatting and hex-encoded payloads (the Rotor stand-in);
 //  * BinarySerializer — length-prefixed little-endian bulk encoding
-//    (the production .NET stand-in).
+//    (the production .NET stand-in), the one every process persists with;
+//  * NaiveSerializer (bench/naive_serializer.h) — field-by-field textual
+//    encoding (the Rotor stand-in), for the serialization benchmark only.
 //
 // Both are lossless; round-trip equality is enforced by tests, and the
 // serialization benchmark (bench_serialization) reproduces the paper's
@@ -30,14 +30,6 @@ class Serializer {
   virtual std::string name() const = 0;
   virtual std::vector<std::byte> serialize(const SnapshotData& snap) const = 0;
   virtual SnapshotData deserialize(std::span<const std::byte> bytes) const = 0;
-};
-
-/// Slow, reflective-style text serializer (models Rotor).
-class NaiveSerializer final : public Serializer {
- public:
-  std::string name() const override { return "naive"; }
-  std::vector<std::byte> serialize(const SnapshotData& snap) const override;
-  SnapshotData deserialize(std::span<const std::byte> bytes) const override;
 };
 
 /// Fast bulk binary serializer (models production .NET).

@@ -5,24 +5,35 @@
 namespace adgc {
 
 SnapshotData capture_snapshot(ProcessId pid, SimTime now, const Heap& heap,
-                              const StubTable& stubs, const ScionTable& scions) {
+                              const StubTable& stubs, const ScionTable& scions,
+                              bool with_payloads) {
   SnapshotData snap;
   snap.pid = pid;
   snap.taken_at = now;
   snap.roots.assign(heap.roots().begin(), heap.roots().end());
 
-  snap.objects.reserve(heap.size());
-  for (const auto& [seq, obj] : heap.objects()) {
-    SnapshotData::Obj o;
-    o.seq = seq;
-    o.local_fields = obj.local_fields;
-    o.remote_fields = obj.remote_fields;
-    o.payload = obj.payload;
-    snap.objects.push_back(std::move(o));
+  // Object indices follow slot order; index[s] is slot s's.
+  std::vector<std::uint32_t> index(heap.slot_end(), kNoIndex);
+  snap.seqs.reserve(heap.size());
+  for (Slot s = 0; s < heap.slot_end(); ++s) {
+    if (const HeapObject* obj = heap.at(s)) {
+      index[s] = static_cast<std::uint32_t>(snap.seqs.size());
+      if (heap.rooted(s)) snap.root_objs.push_back(index[s]);
+      snap.seqs.push_back(obj->seq);
+    }
   }
-  // Deterministic order regardless of hash-map iteration.
-  std::sort(snap.objects.begin(), snap.objects.end(),
-            [](const auto& a, const auto& b) { return a.seq < b.seq; });
+  snap.edge_at.reserve(snap.seqs.size() + 1);
+  snap.ref_at.reserve(snap.seqs.size() + 1);
+  if (with_payloads) snap.payloads.reserve(snap.seqs.size());
+  for (Slot s = 0; s < heap.slot_end(); ++s) {
+    const HeapObject* obj = heap.at(s);
+    if (!obj) continue;
+    heap.for_each_local(s, [&](Slot t) { snap.edges.push_back(index[t]); });
+    snap.edge_at.push_back(static_cast<std::uint32_t>(snap.edges.size()));
+    snap.refs.insert(snap.refs.end(), obj->remote_fields.begin(), obj->remote_fields.end());
+    snap.ref_at.push_back(static_cast<std::uint32_t>(snap.refs.size()));
+    if (with_payloads) snap.payloads.push_back(obj->payload);
+  }
 
   snap.stubs.reserve(stubs.size());
   for (const auto& [ref, stub] : stubs) {
@@ -30,19 +41,59 @@ SnapshotData capture_snapshot(ProcessId pid, SimTime now, const Heap& heap,
   }
   snap.scions.reserve(scions.size());
   for (const auto& [ref, scion] : scions) {
-    snap.scions.push_back({ref, scion.holder, scion.target, scion.ic});
+    const Slot t = heap.resolve(scion.target, scion.target_slot);
+    snap.scions.push_back(
+        {ref, scion.holder, scion.target, scion.ic, t == kNoSlot ? kNoIndex : index[t]});
   }
   return snap;
 }
 
+bool link_snapshot(SnapshotData& snap, const std::vector<ObjectSeq>& local_seqs) {
+  bool restorable = true;
+  std::unordered_map<ObjectSeq, std::uint32_t> index;
+  index.reserve(snap.seqs.size());
+  for (std::size_t i = 0; i < snap.seqs.size(); ++i) {
+    const bool fresh = index.try_emplace(snap.seqs[i], static_cast<std::uint32_t>(i)).second;
+    restorable = restorable && fresh && adoptable_seq(snap.seqs[i]);
+  }
+  const auto index_of = [&](ObjectSeq seq) {
+    auto it = index.find(seq);
+    return it == index.end() ? kNoIndex : it->second;
+  };
+  snap.edges.clear();
+  std::uint32_t begin = snap.edge_at[0];
+  for (std::size_t i = 0; i < snap.seqs.size(); ++i) {
+    const std::uint32_t end = snap.edge_at[i + 1];
+    for (std::uint32_t k = begin; k < end; ++k) {
+      const std::uint32_t t = index_of(local_seqs[k]);
+      if (t != kNoIndex) snap.edges.push_back(t);
+    }
+    begin = end;
+    snap.edge_at[i + 1] = static_cast<std::uint32_t>(snap.edges.size());
+  }
+  snap.edge_at[0] = 0;
+  snap.root_objs.clear();
+  for (ObjectSeq root : snap.roots) {
+    if (const std::uint32_t i = index_of(root); i != kNoIndex) snap.root_objs.push_back(i);
+  }
+  std::sort(snap.root_objs.begin(), snap.root_objs.end());
+  snap.root_objs.erase(std::unique(snap.root_objs.begin(), snap.root_objs.end()),
+                       snap.root_objs.end());
+  for (SnapshotData::Scion& s : snap.scions) s.obj = index_of(s.target);
+  return restorable;
+}
+
 void restore_snapshot(const SnapshotData& snap, Heap& heap, StubTable& stubs,
                       ScionTable& scions, SimTime now) {
-  for (const auto& o : snap.objects) {
+  for (std::size_t i = 0; i < snap.num_objects(); ++i) {
+    const ObjectSeq seq = snap.seqs[i];
+    if (!adoptable_seq(seq) || heap.exists(seq)) continue;
     HeapObject obj;
-    obj.seq = o.seq;
-    obj.local_fields = o.local_fields;
-    obj.remote_fields = o.remote_fields;
-    obj.payload = o.payload;
+    obj.seq = seq;
+    for (std::uint32_t t : snap.local(i)) obj.local_fields.push_back(snap.seqs[t]);
+    const std::span<const RefId> refs = snap.remote(i);
+    obj.remote_fields.assign(refs.begin(), refs.end());
+    if (!snap.payloads.empty()) obj.payload = snap.payloads[i];
     heap.adopt(std::move(obj));
   }
   for (ObjectSeq root : snap.roots) heap.add_root(root);
@@ -54,9 +105,10 @@ void restore_snapshot(const SnapshotData& snap, Heap& heap, StubTable& stubs,
     e.local_reach = true;    // conservative until the first LGC runs
   }
   // Holder counts are not serialized; they are derivable from the heap.
-  for (const auto& [seq, obj] : heap.objects()) {
-    (void)seq;
-    for (RefId ref : obj.remote_fields) {
+  for (Slot s = 0; s < heap.slot_end(); ++s) {
+    const HeapObject* obj = heap.at(s);
+    if (!obj) continue;
+    for (RefId ref : obj->remote_fields) {
       if (StubEntry* e = stubs.find(ref)) ++e->holders;
     }
   }

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -23,14 +24,17 @@
 
 namespace adgc {
 
-/// Logical content of one process snapshot (pre-summarization).
+/// Index of an object in a snapshot; kNoIndex for a reference to none.
+inline constexpr std::uint32_t kNoIndex = ~std::uint32_t{0};
+
+/// Content of one process snapshot (pre-summarization). The graph is flat:
+/// object i has seq seqs[i], its local fields are the object indices
+/// edges[edge_at[i], edge_at[i+1]) and its remote fields the refs
+/// refs[ref_at[i], ref_at[i+1]), each in field order. References by seq are
+/// also resolved once, to indices: root_objs (the objects that are roots,
+/// ascending) and Scion::obj. A local field whose target is not in the
+/// snapshot is left out.
 struct SnapshotData {
-  struct Obj {
-    ObjectSeq seq = kNoObject;
-    std::vector<ObjectSeq> local_fields;
-    std::vector<RefId> remote_fields;
-    std::vector<std::byte> payload;
-  };
   struct Stub {
     RefId ref = kNoRef;
     ObjectId target;
@@ -41,19 +45,46 @@ struct SnapshotData {
     ProcessId holder = kNoProcess;
     ObjectSeq target = kNoObject;
     std::uint64_t ic = 0;
+    std::uint32_t obj = kNoIndex;  // index of `target`
   };
 
   ProcessId pid = kNoProcess;
   SimTime taken_at = 0;
   std::vector<ObjectSeq> roots;
-  std::vector<Obj> objects;
+  std::vector<std::uint32_t> root_objs;
+  std::vector<ObjectSeq> seqs;
+  std::vector<std::uint32_t> edge_at{0};
+  std::vector<std::uint32_t> edges;
+  std::vector<std::uint32_t> ref_at{0};
+  std::vector<RefId> refs;
+  /// One payload per object, or none at all when the capture left them out.
+  std::vector<std::vector<std::byte>> payloads;
   std::vector<Stub> stubs;
   std::vector<Scion> scions;
+
+  std::size_t num_objects() const { return seqs.size(); }
+  std::span<const std::uint32_t> local(std::size_t i) const {
+    return {edges.data() + edge_at[i], edges.data() + edge_at[i + 1]};
+  }
+  std::span<const RefId> remote(std::size_t i) const {
+    return {refs.data() + ref_at[i], refs.data() + ref_at[i + 1]};
+  }
 };
 
-/// Captures the current heap + DGC tables into a SnapshotData.
+/// Captures the current heap + DGC tables into a SnapshotData, in slot
+/// order. Object payloads are copied only `with_payloads` (a snapshot store
+/// will persist them; the summarizer never reads them).
 SnapshotData capture_snapshot(ProcessId pid, SimTime now, const Heap& heap,
-                              const StubTable& stubs, const ScionTable& scions);
+                              const StubTable& stubs, const ScionTable& scions,
+                              bool with_payloads = false);
+
+/// Resolves the seq-form references of `snap` to object indices: object i's
+/// local fields given as local_seqs[edge_at[i], edge_at[i+1]) become
+/// `edges` (edge_at rewritten; a field to no object is left out), and the
+/// roots and scion targets get root_objs and Scion::obj. A repeated seq
+/// resolves to its first object. Returns false when some object's seq is
+/// repeated or not adoptable_seq(): a heap could not restore that snapshot.
+bool link_snapshot(SnapshotData& snap, const std::vector<ObjectSeq>& local_seqs);
 
 /// Rebuilds heap + DGC tables from a snapshot (crash recovery). The caller
 /// provides empty tables. Restored scions come back unconfirmed with a fresh
@@ -61,6 +92,8 @@ SnapshotData capture_snapshot(ProcessId pid, SimTime now, const Heap& heap,
 /// are recomputed from the restored heap — conservative defaults that can
 /// delay collection but never delete a live reference. The acyclic protocol
 /// (NewSetStubs / AddScion retry) and the next LGC re-derive the exact state.
+/// Objects whose seq the heap cannot adopt, and every repeat of a seq after
+/// its first, are left out.
 void restore_snapshot(const SnapshotData& snap, Heap& heap, StubTable& stubs,
                       ScionTable& scions, SimTime now);
 

@@ -8,24 +8,26 @@ namespace adgc {
 namespace {
 
 /// Objects reachable from `seeds` through local fields; `index` maps a seq
-/// to the first object that carries it.
+/// to the first object that carries it. Seeds are looked up by seq here, not
+/// through the snapshot's own resolved indices, so those are checked too.
 std::vector<bool> reachable(const SnapshotData& snap,
                             const std::unordered_map<ObjectSeq, std::size_t>& index,
                             const std::vector<ObjectSeq>& seeds) {
-  std::vector<bool> seen(snap.objects.size(), false);
+  std::vector<bool> seen(snap.num_objects(), false);
   std::vector<std::size_t> stack;
-  auto push = [&](ObjectSeq seq) {
-    auto it = index.find(seq);
-    if (it != index.end() && !seen[it->second]) {
-      seen[it->second] = true;
-      stack.push_back(it->second);
+  auto push = [&](std::size_t i) {
+    if (!seen[i]) {
+      seen[i] = true;
+      stack.push_back(i);
     }
   };
-  for (ObjectSeq s : seeds) push(s);
+  for (ObjectSeq s : seeds) {
+    if (auto it = index.find(s); it != index.end()) push(it->second);
+  }
   while (!stack.empty()) {
     const std::size_t cur = stack.back();
     stack.pop_back();
-    for (ObjectSeq next : snap.objects[cur].local_fields) push(next);
+    for (std::uint32_t next : snap.local(cur)) push(next);
   }
   return seen;
 }
@@ -43,13 +45,13 @@ SummarizedGraph BfsSummarizer::summarize(const SnapshotData& snap) {
     out.stubs.emplace(s.ref, StubSummary{s.ref, s.ic, s.target, false, {}});
   }
   std::unordered_map<ObjectSeq, std::size_t> index;
-  for (std::size_t i = 0; i < snap.objects.size(); ++i) index.emplace(snap.objects[i].seq, i);
+  for (std::size_t i = 0; i < snap.num_objects(); ++i) index.emplace(snap.seqs[i], i);
 
   // Local.Reach: one BFS from the roots.
   const std::vector<bool> from_root = reachable(snap, index, snap.roots);
-  for (std::size_t i = 0; i < snap.objects.size(); ++i) {
+  for (std::size_t i = 0; i < snap.num_objects(); ++i) {
     if (!from_root[i]) continue;
-    for (RefId ref : snap.objects[i].remote_fields) {
+    for (RefId ref : snap.remote(i)) {
       auto it = out.stubs.find(ref);
       if (it != out.stubs.end()) it->second.local_reach = true;
     }
@@ -59,9 +61,9 @@ SummarizedGraph BfsSummarizer::summarize(const SnapshotData& snap) {
   for (const auto& s : snap.scions) {
     auto& sum = out.scions.at(s.ref);
     const std::vector<bool> reach = reachable(snap, index, {s.target});
-    for (std::size_t i = 0; i < snap.objects.size(); ++i) {
+    for (std::size_t i = 0; i < snap.num_objects(); ++i) {
       if (!reach[i]) continue;
-      for (RefId ref : snap.objects[i].remote_fields) {
+      for (RefId ref : snap.remote(i)) {
         if (out.stubs.contains(ref)) sum.stubs_from.push_back(ref);
       }
     }

@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "tests/snapshot_builder.h"
 
 namespace adgc::shapes {
 
@@ -12,23 +13,34 @@ constexpr std::size_t kCallers = 4;
 constexpr std::size_t kInFlightExports = 40;
 constexpr std::size_t kCrossRefs = 16;
 
-ObjectSeq add_object(SnapshotData& snap, bool rooted) {
-  SnapshotData::Obj o;
+/// A snapshot under construction: objects in seq form until packed.
+struct Shape {
+  SnapshotData snap;
+  std::vector<SnapshotObject> objects;
+
+  SnapshotData pack() {
+    pack_objects(snap, objects);
+    return std::move(snap);
+  }
+};
+
+ObjectSeq add_object(Shape& snap, bool rooted) {
+  SnapshotObject o;
   o.seq = snap.objects.size() + 1;
   snap.objects.push_back(std::move(o));
-  if (rooted) snap.roots.push_back(snap.objects.back().seq);
+  if (rooted) snap.snap.roots.push_back(snap.objects.back().seq);
   return snap.objects.back().seq;
 }
 
-SnapshotData::Obj& object(SnapshotData& snap, ObjectSeq seq) { return snap.objects[seq - 1]; }
+SnapshotObject& object(Shape& snap, ObjectSeq seq) { return snap.objects[seq - 1]; }
 
-void add_stub(SnapshotData& snap, ObjectSeq holder, RefId ref, ObjectId target) {
-  snap.stubs.push_back({ref, target, 0});
+void add_stub(Shape& snap, ObjectSeq holder, RefId ref, ObjectId target) {
+  snap.snap.stubs.push_back({ref, target, 0});
   object(snap, holder).remote_fields.push_back(ref);
 }
 
-void add_scion(SnapshotData& snap, ObjectSeq target, RefId ref, ProcessId holder) {
-  snap.scions.push_back({ref, holder, target, 0});
+void add_scion(Shape& snap, ObjectSeq target, RefId ref, ProcessId holder) {
+  snap.snap.scions.push_back({ref, holder, target, 0});
 }
 
 }  // namespace
@@ -36,8 +48,8 @@ void add_scion(SnapshotData& snap, ObjectSeq target, RefId ref, ProcessId holder
 SnapshotData rmi_client(std::size_t holders, std::size_t standing, std::size_t exports,
                         std::uint64_t seed) {
   Rng rng(seed);
-  SnapshotData snap;
-  snap.pid = 0;
+  Shape snap;
+  snap.snap.pid = 0;
   std::vector<ObjectSeq> holder_objs;
   for (std::size_t h = 0; h < holders; ++h) holder_objs.push_back(add_object(snap, true));
   for (std::size_t i = 0; i < standing; ++i) {
@@ -51,12 +63,12 @@ SnapshotData rmi_client(std::size_t holders, std::size_t standing, std::size_t e
     const ObjectSeq leaf = add_object(snap, e + kInFlightExports >= exports);
     add_scion(snap, leaf, make_ref_id(0, e + 1), 1);
   }
-  return snap;
+  return snap.pack();
 }
 
 SnapshotData rmi_server(std::size_t standing, std::size_t stored) {
-  SnapshotData snap;
-  snap.pid = 1;
+  Shape snap;
+  snap.snap.pid = 1;
   for (std::size_t i = 0; i < standing; ++i) {
     add_scion(snap, add_object(snap, true), make_ref_id(1, i + 1), 0);
   }
@@ -68,14 +80,14 @@ SnapshotData rmi_server(std::size_t standing, std::size_t stored) {
       add_stub(snap, sink, make_ref_id(0, next_export), ObjectId{0, next_export});
     }
   }
-  return snap;
+  return snap.pack();
 }
 
 SnapshotData cycle_node(std::size_t chains, std::size_t objects, std::size_t rings,
                         std::uint64_t seed) {
   Rng rng(seed);
-  SnapshotData snap;
-  snap.pid = 0;
+  Shape snap;
+  snap.snap.pid = 0;
   std::vector<std::size_t> lengths(chains, objects / chains);
   for (std::size_t i = 0; i < chains; ++i) {  // move length around, keep the total
     const std::size_t a = rng.below(chains), b = rng.below(chains);
@@ -106,7 +118,7 @@ SnapshotData cycle_node(std::size_t chains, std::size_t objects, std::size_t rin
     add_scion(snap, head, make_ref_id(0, kCrossRefs + r + 1), 2);
     add_stub(snap, tail, make_ref_id(1, kCrossRefs + r + 1), ObjectId{1, objects + r + 1});
   }
-  return snap;
+  return snap.pack();
 }
 
 }  // namespace adgc::shapes

@@ -4,9 +4,11 @@
 // DecodeError — never crash, hang, or allocate absurdly.
 #include <gtest/gtest.h>
 
+#include "bench/naive_serializer.h"
 #include "src/common/rng.h"
 #include "src/net/message.h"
 #include "src/snapshot/serializer.h"
+#include "tests/snapshot_builder.h"
 
 namespace adgc {
 namespace {
@@ -124,15 +126,17 @@ TEST_P(CodecFuzz, SnapshotTruncations) {
   Rng rng(GetParam() + 4000);
   SnapshotData snap;
   snap.pid = 1;
+  std::vector<SnapshotObject> objects;
   for (ObjectSeq i = 1; i <= 10; ++i) {
-    SnapshotData::Obj o;
+    SnapshotObject o;
     o.seq = i;
     if (i > 1) o.local_fields.push_back(i - 1);
     o.payload.assign(8, std::byte{static_cast<unsigned char>(i)});
-    snap.objects.push_back(std::move(o));
+    objects.push_back(std::move(o));
   }
   snap.stubs.push_back({make_ref_id(1, 1), {2, 2}, 3});
   snap.scions.push_back({make_ref_id(2, 1), 3, 4, 5});
+  pack_objects(snap, objects);
 
   BinarySerializer binary;
   const auto bytes = binary.serialize(snap);

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "src/lgc/mark_sweep.h"
+#include "tests/lgc_oracle.h"
 
 namespace adgc {
 namespace {
@@ -46,14 +47,15 @@ TEST(Lgc, ScionsActAsRoots) {
   const ObjectSeq a = w.heap.allocate();
   const ObjectSeq b = w.heap.allocate();
   w.heap.add_local_field(a, b);
-  w.scions.ensure(make_ref_id(9, 1), /*holder=*/9, a, 0);
+  const RefId r = make_ref_id(9, 1);
+  w.scions.ensure(r, /*holder=*/9, a, 0);
 
   const auto res = w.gc();
   EXPECT_EQ(res.objects_reclaimed, 0u);
   EXPECT_TRUE(w.heap.exists(a));
   EXPECT_TRUE(w.heap.exists(b));
   // But the scion-kept objects are not root-reachable.
-  EXPECT_FALSE(res.root_reachable.contains(a));
+  EXPECT_FALSE(w.scions.find(r)->target_root_reachable);
 }
 
 TEST(Lgc, DeletingScionFreesSubtree) {
@@ -166,12 +168,12 @@ TEST(Lgc, ReachFromHelper) {
   const ObjectSeq b = h.allocate();
   const ObjectSeq c = h.allocate();
   h.add_local_field(a, b);
-  const auto reach = lgc::reach_from(h, {a});
+  const auto reach = reach_from(h, {a});
   EXPECT_TRUE(reach.contains(a));
   EXPECT_TRUE(reach.contains(b));
   EXPECT_FALSE(reach.contains(c));
-  EXPECT_TRUE(lgc::reach_from(h, {}).empty());
-  EXPECT_TRUE(lgc::reach_from(h, {kNoObject}).empty());
+  EXPECT_TRUE(reach_from(h, {}).empty());
+  EXPECT_TRUE(reach_from(h, {kNoObject}).empty());
 }
 
 TEST(Lgc, EmptyHeapIsFine) {

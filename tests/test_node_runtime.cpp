@@ -1,9 +1,15 @@
 // NodeRuntime integration tests: full ADGC Process stacks talking over real
 // localhost TCP inside one test binary. Covers acyclic reference-listing
 // collection, the deterministic cluster plant, DCDA cycle reclamation
-// across sockets, and incarnation recovery through a runtime restart.
+// across sockets, incarnation recovery through a runtime restart, and a
+// stop() that leaves no snapshot persist running.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/ioctl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <thread>
@@ -233,6 +239,57 @@ TEST(NodeRuntime, IncarnationBumpsAcrossRestartsAndRecoversState) {
     n.stop();
   }
   peer.stop();
+}
+
+TEST(NodeRuntime, StopWaitsOutTheSnapshotPersist) {
+  // The owner of a state directory may delete it once stop() returns, so no
+  // snapshot persist may still be running then. Hold the worker inside a
+  // persist (its temp file is a FIFO nobody drains yet), call stop(), and
+  // remove the directory the moment stop() returns.
+  TempDir dir;
+  NodeRuntime::Options o;
+  o.pid = 0;
+  o.cfg = fast_cfg(31);
+  o.cfg.proc.periodic_collectors_enabled = false;
+  o.listen = "127.0.0.1:0";
+  o.state_dir = (dir.path / "node0").string();
+  NodeRuntime n(o);
+  n.start();
+  const std::filesystem::path fifo = std::filesystem::path(o.state_dir) / "snapshots" /
+                                     "snapshot_p0_v00000000000000000001.bin.tmp";
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  const int reader = ::open(fifo.c_str(), O_RDONLY | O_NONBLOCK);
+  ASSERT_GE(reader, 0);
+  n.post_sync([](Process& p) {
+    // A payload far beyond the pipe's capacity keeps the writer blocked.
+    p.add_root(p.create_object(4 << 20));
+    p.request_snapshot();
+  });
+  int queued = 0;
+  for (int i = 0; i < 500 && queued == 0; ++i) {
+    std::this_thread::sleep_for(10ms);
+    ASSERT_EQ(::ioctl(reader, FIONREAD, &queued), 0);
+  }
+  ASSERT_GT(queued, 0) << "the snapshot worker never reached the persist";
+
+  std::atomic<bool> stopped{false};
+  std::thread stopper([&] {
+    n.stop();
+    stopped = true;
+  });
+  for (int i = 0; i < 50 && !stopped; ++i) std::this_thread::sleep_for(10ms);
+  std::error_code ec;
+  if (stopped) std::filesystem::remove_all(o.state_dir, ec);  // stop() returned early
+  // Release the worker: drain the FIFO until the writer closes it.
+  ::fcntl(reader, F_SETFL, 0);
+  char buf[1 << 16];
+  while (::read(reader, buf, sizeof buf) > 0) {
+  }
+  ::close(reader);
+  stopper.join();
+  std::filesystem::remove_all(o.state_dir, ec);
+  EXPECT_FALSE(n.unsafe_proc().snapshot_in_flight());
+  EXPECT_EQ(n.total_metrics().snapshot_persist_failures.get(), 0u);
 }
 
 }  // namespace

@@ -5,22 +5,29 @@
 
 #include <chrono>
 
+#include "bench/naive_serializer.h"
 #include "src/common/rng.h"
 #include "src/snapshot/serializer.h"
+#include "tests/snapshot_builder.h"
 
 namespace adgc {
 namespace {
 
+std::vector<std::byte> payload(const SnapshotData& s, std::size_t i) {
+  return s.payloads.empty() ? std::vector<std::byte>{} : s.payloads[i];
+}
+
 bool snapshots_equal(const SnapshotData& a, const SnapshotData& b) {
-  if (a.pid != b.pid || a.taken_at != b.taken_at || a.roots != b.roots) return false;
-  if (a.objects.size() != b.objects.size()) return false;
-  for (std::size_t i = 0; i < a.objects.size(); ++i) {
-    const auto& x = a.objects[i];
-    const auto& y = b.objects[i];
-    if (x.seq != y.seq || x.local_fields != y.local_fields ||
-        x.remote_fields != y.remote_fields || x.payload != y.payload) {
-      return false;
-    }
+  if (a.pid != b.pid || a.taken_at != b.taken_at || a.roots != b.roots ||
+      a.root_objs != b.root_objs) {
+    return false;
+  }
+  if (a.seqs != b.seqs || a.edge_at != b.edge_at || a.edges != b.edges ||
+      a.ref_at != b.ref_at || a.refs != b.refs) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.num_objects(); ++i) {
+    if (payload(a, i) != payload(b, i)) return false;
   }
   if (a.stubs.size() != b.stubs.size() || a.scions.size() != b.scions.size()) return false;
   for (std::size_t i = 0; i < a.stubs.size(); ++i) {
@@ -31,7 +38,8 @@ bool snapshots_equal(const SnapshotData& a, const SnapshotData& b) {
   }
   for (std::size_t i = 0; i < a.scions.size(); ++i) {
     if (a.scions[i].ref != b.scions[i].ref || a.scions[i].holder != b.scions[i].holder ||
-        a.scions[i].target != b.scions[i].target || a.scions[i].ic != b.scions[i].ic) {
+        a.scions[i].target != b.scions[i].target || a.scions[i].ic != b.scions[i].ic ||
+        a.scions[i].obj != b.scions[i].obj) {
       return false;
     }
   }
@@ -42,8 +50,9 @@ SnapshotData sample_snapshot(Rng& rng, std::size_t n_objects) {
   SnapshotData snap;
   snap.pid = 3;
   snap.taken_at = 123456;
+  std::vector<SnapshotObject> objects;
   for (std::size_t i = 1; i <= n_objects; ++i) {
-    SnapshotData::Obj o;
+    SnapshotObject o;
     o.seq = i;
     const std::size_t edges = rng.below(4);
     for (std::size_t k = 0; k < edges; ++k) o.local_fields.push_back(1 + rng.below(n_objects));
@@ -52,7 +61,7 @@ SnapshotData sample_snapshot(Rng& rng, std::size_t n_objects) {
     for (std::size_t k = 0; k < pay; ++k) {
       o.payload.push_back(static_cast<std::byte>(rng.below(256)));
     }
-    snap.objects.push_back(std::move(o));
+    objects.push_back(std::move(o));
   }
   snap.roots = {1, 2};
   for (std::size_t i = 1; i <= n_objects; ++i) {
@@ -61,6 +70,7 @@ SnapshotData sample_snapshot(Rng& rng, std::size_t n_objects) {
       snap.scions.push_back({make_ref_id(5, i), static_cast<ProcessId>(i % 7), i, i * 2});
     }
   }
+  pack_objects(snap, objects);
   return snap;
 }
 
@@ -130,7 +140,7 @@ TEST(Serializers, NaiveRejectsGarbage) {
 TEST(Serializers, NaiveRejectsBadHexPayload) {
   NaiveSerializer naive;
   SnapshotData snap;
-  snap.objects.push_back({1, {}, {}, {std::byte{0xAB}}});
+  pack_objects(snap, {{1, {}, {}, {std::byte{0xAB}}}});
   auto bytes = naive.serialize(snap);
   // Corrupt a hex digit of the payload.
   std::string text(reinterpret_cast<const char*>(bytes.data()), bytes.size());

@@ -1,7 +1,7 @@
 // Unit tests for the sample-statistics accumulator.
 #include <gtest/gtest.h>
 
-#include "src/common/stats.h"
+#include "bench/sample_stats.h"
 
 namespace adgc {
 namespace {

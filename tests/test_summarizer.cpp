@@ -9,13 +9,16 @@
 #include "src/snapshot/summarizer.h"
 #include "tests/bfs_summarizer.h"
 #include "tests/heap_shapes.h"
+#include "tests/snapshot_builder.h"
 
 namespace adgc {
 namespace {
 
-// Small builder for SnapshotData by hand.
+// Small builder for SnapshotData by hand: objects in seq form, packed by
+// build().
 struct SnapBuilder {
   SnapshotData snap;
+  std::vector<SnapshotObject> objects;
   ObjectSeq next = 1;
 
   SnapBuilder() {
@@ -23,13 +26,18 @@ struct SnapBuilder {
     snap.taken_at = 0;
   }
   ObjectSeq obj() {
-    SnapshotData::Obj o;
+    SnapshotObject o;
     o.seq = next++;
-    snap.objects.push_back(o);
+    objects.push_back(o);
     return o.seq;
   }
-  SnapshotData::Obj& find(ObjectSeq s) {
-    for (auto& o : snap.objects) {
+  SnapshotData build() const {
+    SnapshotData out = snap;
+    pack_objects(out, objects);
+    return out;
+  }
+  SnapshotObject& find(ObjectSeq s) {
+    for (auto& o : objects) {
       if (o.seq == s) return o;
     }
     throw std::logic_error("no such obj");
@@ -63,7 +71,7 @@ TEST(Summarizer, StubsFromFollowsLocalEdges) {
   for (Summarizer* s :
        {static_cast<Summarizer*>(new BfsSummarizer),
         static_cast<Summarizer*>(new SccSummarizer)}) {
-    const SummarizedGraph sum = s->summarize(b.snap);
+    const SummarizedGraph sum = s->summarize(b.build());
     const ScionSummary* sc = sum.scion(scion_f);
     ASSERT_NE(sc, nullptr) << s->name();
     EXPECT_EQ(sc->stubs_from, std::vector<RefId>{stub_q}) << s->name();
@@ -83,7 +91,7 @@ TEST(Summarizer, LocalReachFromRoots) {
   const RefId r2 = b.stub(c, make_ref_id(0, 2));
 
   BfsSummarizer s;
-  const SummarizedGraph sum = s.summarize(b.snap);
+  const SummarizedGraph sum = s.summarize(b.build());
   EXPECT_TRUE(sum.stub(r1)->local_reach);
   EXPECT_FALSE(sum.stub(r2)->local_reach);
 }
@@ -96,7 +104,7 @@ TEST(Summarizer, ScionUnreachableStubExcluded) {
   const RefId sc = b.scion(x, make_ref_id(9, 1));
 
   BfsSummarizer s;
-  const SummarizedGraph sum = s.summarize(b.snap);
+  const SummarizedGraph sum = s.summarize(b.build());
   EXPECT_EQ(sum.scion(sc)->stubs_from, std::vector<RefId>{rx});
   EXPECT_TRUE(sum.stub(ry)->scions_to.empty());
 }
@@ -112,7 +120,7 @@ TEST(Summarizer, CyclicLocalGraph) {
   const RefId s2 = b.scion(c, make_ref_id(9, 2));
 
   SccSummarizer s;
-  const SummarizedGraph sum = s.summarize(b.snap);
+  const SummarizedGraph sum = s.summarize(b.build());
   EXPECT_EQ(sum.scion(s1)->stubs_from, std::vector<RefId>{r});
   EXPECT_EQ(sum.scion(s2)->stubs_from, std::vector<RefId>{r});
   const auto& deps = sum.stub(r)->scions_to;
@@ -132,7 +140,7 @@ TEST(Summarizer, SharedStubMultipleScions) {
   for (Summarizer* s :
        {static_cast<Summarizer*>(new BfsSummarizer),
         static_cast<Summarizer*>(new SccSummarizer)}) {
-    const SummarizedGraph sum = s->summarize(b.snap);
+    const SummarizedGraph sum = s->summarize(b.build());
     auto deps = sum.stub(t)->scions_to;
     std::sort(deps.begin(), deps.end());
     std::vector<RefId> want = {sv, sy};
@@ -147,8 +155,8 @@ TEST(Summarizer, DanglingScionTargetIsEmpty) {
   const RefId sc = b.scion(/*target=*/999, make_ref_id(9, 1));
   BfsSummarizer bfs;
   SccSummarizer scc;
-  EXPECT_TRUE(bfs.summarize(b.snap).scion(sc)->stubs_from.empty());
-  EXPECT_TRUE(scc.summarize(b.snap).scion(sc)->stubs_from.empty());
+  EXPECT_TRUE(bfs.summarize(b.build()).scion(sc)->stubs_from.empty());
+  EXPECT_TRUE(scc.summarize(b.build()).scion(sc)->stubs_from.empty());
 }
 
 TEST(Summarizer, IcAndHolderCopied) {
@@ -157,7 +165,7 @@ TEST(Summarizer, IcAndHolderCopied) {
   const RefId st = b.stub(a, make_ref_id(0, 1), /*ic=*/5);
   const RefId sc = b.scion(a, make_ref_id(9, 1), /*ic=*/7);
   BfsSummarizer s;
-  const SummarizedGraph sum = s.summarize(b.snap);
+  const SummarizedGraph sum = s.summarize(b.build());
   EXPECT_EQ(sum.stub(st)->ic, 5u);
   EXPECT_EQ(sum.scion(sc)->ic, 7u);
   EXPECT_EQ(sum.scion(sc)->holder, 2u);
@@ -198,7 +206,7 @@ TEST(Summarizer, StublessComponentSharesItsOneNonEmptyRow) {
   const RefId sa = b.scion(a2, make_ref_id(9, 2));
   const RefId sc = b.scion(c, make_ref_id(9, 3));
   const RefId se = b.scion(e, make_ref_id(9, 4));
-  const SummarizedGraph sum = summarize_checked(b.snap);
+  const SummarizedGraph sum = summarize_checked(b.build());
   for (RefId s : {sx, sa, sc}) EXPECT_EQ(sum.scion(s)->stubs_from, std::vector<RefId>{q});
   EXPECT_TRUE(sum.scion(se)->stubs_from.empty());
   EXPECT_EQ(sum.stub(q)->scions_to, (std::vector<RefId>{sx, sa, sc}));
@@ -219,7 +227,7 @@ TEST(Summarizer, ComponentJoinsTwoSuccessorSets) {
   const RefId sj = b.scion(j, make_ref_id(9, 1));
   const RefId sl = b.scion(l, make_ref_id(9, 2));
   const RefId sr = b.scion(r, make_ref_id(9, 3));
-  const SummarizedGraph sum = summarize_checked(b.snap);
+  const SummarizedGraph sum = summarize_checked(b.build());
   EXPECT_EQ(sum.scion(sj)->stubs_from, (std::vector<RefId>{q1, q2, q3}));
   EXPECT_EQ(sum.scion(sl)->stubs_from, std::vector<RefId>{q1});
   EXPECT_EQ(sum.scion(sr)->stubs_from, (std::vector<RefId>{q1, q2}));
@@ -238,7 +246,7 @@ TEST(Summarizer, ScionsWithOverlappingReach) {
   const RefId qu = b.stub(u, make_ref_id(0, 3));
   const RefId s1 = b.scion(x, make_ref_id(9, 1));
   const RefId s2 = b.scion(w, make_ref_id(9, 2));
-  const SummarizedGraph sum = summarize_checked(b.snap);
+  const SummarizedGraph sum = summarize_checked(b.build());
   EXPECT_EQ(sum.scion(s1)->stubs_from, (std::vector<RefId>{qy, qz}));
   EXPECT_EQ(sum.scion(s2)->stubs_from, (std::vector<RefId>{qz, qu}));
   EXPECT_EQ(sum.stub(qz)->scions_to, (std::vector<RefId>{s1, s2}));
@@ -257,7 +265,7 @@ TEST(Summarizer, ScionTargetInsideACycle) {
   const RefId q2 = b.stub(d, make_ref_id(0, 2));
   const RefId sb = b.scion(bb, make_ref_id(9, 1));
   const RefId sd = b.scion(d, make_ref_id(9, 2));
-  const SummarizedGraph sum = summarize_checked(b.snap);
+  const SummarizedGraph sum = summarize_checked(b.build());
   EXPECT_EQ(sum.scion(sb)->stubs_from, (std::vector<RefId>{q1, q2}));
   EXPECT_EQ(sum.scion(sd)->stubs_from, std::vector<RefId>{q2});
 }
@@ -273,7 +281,7 @@ TEST(Summarizer, StubsNoScionReaches) {
   const RefId q2 = b.stub(u, make_ref_id(0, 2));
   const RefId q3 = b.stub(t, make_ref_id(0, 3));
   const RefId st = b.scion(t, make_ref_id(9, 1));
-  const SummarizedGraph sum = summarize_checked(b.snap);
+  const SummarizedGraph sum = summarize_checked(b.build());
   EXPECT_EQ(sum.scion(st)->stubs_from, std::vector<RefId>{q3});
   EXPECT_TRUE(sum.stub(q1)->scions_to.empty());
   EXPECT_TRUE(sum.stub(q2)->scions_to.empty());
@@ -297,16 +305,16 @@ TEST(Summarizer, MalformedSnapshotMatchesOracle) {
   b.snap.stubs.push_back({q1, ObjectId{1, 1}, /*ic=*/7});
   const RefId q2 = b.stub(d, make_ref_id(0, 2));
   b.find(d).remote_fields.push_back(make_ref_id(0, 77));  // no such stub
-  SnapshotData::Obj twin;
+  SnapshotObject twin;
   twin.seq = c;  // repeats c's seq; never reached
   twin.remote_fields.push_back(make_ref_id(0, 3));
-  b.snap.objects.push_back(twin);
+  b.objects.push_back(twin);
   b.snap.stubs.push_back({make_ref_id(0, 3), ObjectId{1, 3}, 0});
   b.root(c);
   const RefId s1 = b.scion(a, make_ref_id(9, 1), /*ic=*/2);
   b.scion(d, s1, /*ic=*/5);  // same ref, another target
   const RefId s2 = b.scion(999, make_ref_id(9, 2));
-  const SummarizedGraph sum = summarize_checked(b.snap);
+  const SummarizedGraph sum = summarize_checked(b.build());
   EXPECT_EQ(sum.scion(s1)->ic, 2u);
   EXPECT_EQ(sum.scion(s1)->stubs_from, (std::vector<RefId>{q1, q2}));
   EXPECT_TRUE(sum.scion(s2)->stubs_from.empty());
@@ -329,12 +337,13 @@ class SummarizerEquiv : public ::testing::TestWithParam<SummarizerEquivParams> {
 SnapshotData random_snapshot(Rng& rng, std::size_t n, double edge_prob) {
   SnapshotData snap;
   snap.pid = 0;
+  std::vector<SnapshotObject> objects;
   for (std::size_t i = 1; i <= n; ++i) {
-    SnapshotData::Obj o;
+    SnapshotObject o;
     o.seq = i;
-    snap.objects.push_back(o);
+    objects.push_back(o);
   }
-  for (auto& o : snap.objects) {
+  for (auto& o : objects) {
     for (std::size_t j = 1; j <= n; ++j) {
       if (rng.chance(edge_prob)) o.local_fields.push_back(j);
     }
@@ -346,8 +355,8 @@ SnapshotData random_snapshot(Rng& rng, std::size_t n, double edge_prob) {
   for (std::size_t i = 0; i < nstubs; ++i) {
     const RefId ref = make_ref_id(0, i + 1);
     snap.stubs.push_back({ref, ObjectId{1, i}, rng.below(5)});
-    snap.objects[rng.below(n)].remote_fields.push_back(ref);
-    if (rng.chance(0.3)) snap.objects[rng.below(n)].remote_fields.push_back(ref);
+    objects[rng.below(n)].remote_fields.push_back(ref);
+    if (rng.chance(0.3)) objects[rng.below(n)].remote_fields.push_back(ref);
   }
   const std::size_t nscions = rng.below(n / 2 + 1);
   for (std::size_t i = 0; i < nscions; ++i) {
@@ -355,6 +364,7 @@ SnapshotData random_snapshot(Rng& rng, std::size_t n, double edge_prob) {
         {make_ref_id(9, i + 1), static_cast<ProcessId>(1 + rng.below(4)),
          1 + rng.below(n), rng.below(5)});
   }
+  pack_objects(snap, objects);
   return snap;
 }
 
@@ -384,12 +394,13 @@ INSTANTIATE_TEST_SUITE_P(
 SnapshotData rooted_heap(Rng& rng, std::size_t n) {
   SnapshotData snap;
   snap.pid = 0;
+  std::vector<SnapshotObject> objects;
   for (std::size_t i = 1; i <= n; ++i) {
-    SnapshotData::Obj o;
+    SnapshotObject o;
     o.seq = i;
     const std::size_t degree = rng.below(3);
     for (std::size_t e = 0; e < degree; ++e) o.local_fields.push_back(1 + rng.below(n));
-    snap.objects.push_back(std::move(o));
+    objects.push_back(std::move(o));
   }
   for (std::size_t i = 0; i < n / 4; ++i) snap.roots.push_back(1 + rng.below(n));
   for (std::size_t i = 0; i < 2 * n; ++i) {
@@ -397,12 +408,13 @@ SnapshotData rooted_heap(Rng& rng, std::size_t n) {
     snap.stubs.push_back({ref, ObjectId{1, i}, rng.below(5)});
     const ObjectSeq holder =
         rng.chance(0.9) ? snap.roots[rng.below(snap.roots.size())] : 1 + rng.below(n);
-    snap.objects[holder - 1].remote_fields.push_back(ref);
+    objects[holder - 1].remote_fields.push_back(ref);
   }
   const std::size_t nscions = 1 + rng.below(4);
   for (std::size_t i = 0; i < nscions; ++i) {
     snap.scions.push_back({make_ref_id(9, i + 1), 1, 1 + rng.below(n), rng.below(5)});
   }
+  pack_objects(snap, objects);
   return snap;
 }
 
