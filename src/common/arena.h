@@ -58,8 +58,6 @@ class BufferArena {
     if (cap > reserve_hint_) reserve_hint_ = cap;
   }
 
-  std::size_t reserve_hint() const { return reserve_hint_; }
-  std::size_t pooled() const { return free_.size(); }
   std::uint64_t acquires() const { return acquires_; }
   std::uint64_t reuses() const { return reuses_; }
 

@@ -59,11 +59,12 @@ struct ProcessConfig {
   /// scion holder silent for one probe interval, this timeout divided by
   /// `suspect_after_failures + 1`, is sent one NssSolicit per interval; a
   /// probe unanswered for an interval is a failure strike. A suspected peer
-  /// silent for this whole timeout is evicted (its scions dropped, stubs
-  /// toward it retired, detections crossing it aborted, transport/batcher
-  /// state purged) and tombstoned by incarnation: about one timeout after
-  /// it was last heard from. An outage shorter than the timeout minus two
-  /// intervals is ridden out, whatever the phase. A false positive degrades
+  /// that left a probe unanswered for this whole timeout is evicted (its
+  /// scions dropped, stubs toward it retired, detections crossing it
+  /// aborted, transport/batcher state purged) and tombstoned by
+  /// incarnation: about one interval plus one timeout after it was last
+  /// heard from. An outage shorter than the timeout minus one interval is
+  /// ridden out, whatever the phase. A false positive degrades
   /// to a forced crash/restart of the accused peer, never to a dangling
   /// reference, but restarts are not free. 0 disables eviction entirely.
   SimTime peer_death_timeout_us = 0;

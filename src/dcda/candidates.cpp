@@ -7,7 +7,7 @@ namespace adgc {
 std::vector<RefId> select_candidates(const ScionTable& scions, const SummarizedGraph* snap,
                                      const DetectionManager& manager,
                                      const ProcessConfig& cfg, SimTime now,
-                                     const CandidateHealthView* health,
+                                     const PeerHealthTracker* peers,
                                      Metrics* metrics) {
   std::vector<RefId> out;
   if (!snap) return out;
@@ -30,20 +30,17 @@ std::vector<RefId> select_candidates(const ScionTable& scions, const SummarizedG
     if (!sum || sum->ic != scion.ic) continue;
     if (sum->stubs_from.empty()) continue;
     if (manager.candidate_active(ref)) continue;
-    if (health && health->not_before) {
-      auto it = health->not_before->find(ref);
-      if (it != health->not_before->end() && now < it->second) {
-        if (metrics) metrics->detections_deferred_backoff.add();
-        continue;
-      }
+    if (peers && now < scion.relaunch_not_before) {
+      if (metrics) metrics->detections_deferred_backoff.add();
+      continue;
     }
     Eligible e{ref, scion.last_ic_change, false};
-    if (health && health->peers && cfg.adaptive_faults) {
+    if (peers && cfg.adaptive_faults) {
       // A detection needs every branch to come back; one suspected first hop
       // is enough to make it a bad use of the in-flight budget right now.
       for (RefId stub_ref : sum->stubs_from) {
         const StubSummary* stub = snap->stub(stub_ref);
-        if (stub && health->peers->suspected(stub->target.owner)) {
+        if (stub && peers->suspected(stub->target.owner)) {
           e.suspect_hop = true;
           break;
         }

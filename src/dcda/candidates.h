@@ -12,7 +12,6 @@
 //   * no detection is already in flight for it.
 #pragma once
 
-#include <map>
 #include <vector>
 
 #include "src/common/config.h"
@@ -23,24 +22,17 @@
 
 namespace adgc {
 
-/// Adaptive-degradation inputs to candidate selection (all optional).
-/// Candidates whose first CDM hop would cross a suspected link are ranked
-/// after all healthy ones — the in-flight budget is spent where CDMs have a
-/// chance of arriving — and candidates whose previous detections timed out
-/// are skipped entirely until their backoff deadline passes.
-struct CandidateHealthView {
-  const PeerHealthTracker* peers = nullptr;
-  /// Per-candidate earliest re-launch time (exponential backoff after
-  /// timeouts), maintained by the process.
-  const std::map<RefId, SimTime>* not_before = nullptr;
-};
-
 /// Eligible candidates, oldest-quiet first (least recent IC change), up to
-/// the free in-flight detection budget.
+/// the free in-flight detection budget. `peers` (optional) switches on the
+/// adaptive-degradation inputs: a candidate whose relaunch backoff has not
+/// run out (ScionEntry::relaunch_not_before, set after timeouts) is skipped,
+/// and one whose first CDM hop would cross a suspected link is ranked after
+/// all healthy ones — the in-flight budget is spent where CDMs have a chance
+/// of arriving.
 std::vector<RefId> select_candidates(const ScionTable& scions, const SummarizedGraph* snap,
                                      const DetectionManager& manager,
                                      const ProcessConfig& cfg, SimTime now,
-                                     const CandidateHealthView* health = nullptr,
+                                     const PeerHealthTracker* peers = nullptr,
                                      Metrics* metrics = nullptr);
 
 }  // namespace adgc

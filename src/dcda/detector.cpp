@@ -25,7 +25,6 @@ bool Detector::start_detection(RefId candidate, SimTime now) {
   metrics_.detections_started.add();
   obs::emit(trace_, {now, pid_, obs::EventType::kDetectionStart, 0, id.initiator,
                      id.seq, candidate});
-  if (detection_started_) detection_started_(id, candidate);
 
   CdmMsg base;
   base.detection = id;

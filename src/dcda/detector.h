@@ -92,14 +92,6 @@ class Detector {
   DetectionManager& manager() { return manager_; }
   const DetectionManager& manager() const { return manager_; }
 
-  /// Observer called right after a detection launches (model checker /
-  /// instrumentation; optional, independent of the wiring Hooks).
-  void set_detection_started(std::function<void(DetectionId, RefId)> fn) {
-    detection_started_ = std::move(fn);
-  }
-  /// Oracle accessor: detections this process currently has in flight.
-  std::size_t detections_in_flight() const { return manager_.in_flight(); }
-
  private:
   void on_cdm_impl(const CdmMsg& msg, SimTime now);
 
@@ -125,7 +117,6 @@ class Detector {
   Metrics& metrics_;
   obs::TraceRing* trace_ = nullptr;
   Hooks hooks_;
-  std::function<void(DetectionId, RefId)> detection_started_;
   DetectionManager manager_;
   std::shared_ptr<const SummarizedGraph> snap_;
   std::unordered_set<std::uint64_t> seen_;

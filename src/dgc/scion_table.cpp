@@ -5,7 +5,6 @@ namespace adgc {
 ScionEntry& ScionTable::ensure(RefId ref, ProcessId holder, ObjectSeq target, SimTime now) {
   auto [it, inserted] = entries_.try_emplace(ref);
   if (inserted) {
-    it->second.ref = ref;
     it->second.holder = holder;
     it->second.target = target;
     it->second.created_at = now;
@@ -24,12 +23,9 @@ const ScionEntry* ScionTable::find(RefId ref) const {
   return it == entries_.end() ? nullptr : &it->second;
 }
 
-std::vector<RefId> ScionTable::refs_from_holder(ProcessId holder) const {
-  std::vector<RefId> out;
-  for (const auto& [ref, entry] : entries_) {
-    if (entry.holder == holder) out.push_back(ref);
-  }
-  return out;
+std::size_t ScionTable::drop_holder(ProcessId holder) {
+  export_seq_.erase(holder);
+  return std::erase_if(entries_, [&](const auto& kv) { return kv.second.holder == holder; });
 }
 
 bool ScionTable::accept_export_seq(ProcessId holder, std::uint64_t seq) {

@@ -2,8 +2,9 @@
 //
 // A scion pins its target object against the local GC. Scions are created by
 // the scion-first handshake (AddScion) or locally when this process exports
-// one of its own objects, and die either through the acyclic reference-
-// listing protocol (NewSetStubs) or through a DCDA cycle-found verdict.
+// one of its own objects. They die through the acyclic reference-listing
+// protocol (NewSetStubs), orphan expiry, a DCDA cycle-found verdict or the
+// eviction of their holder; whatever a scion carries leaves with it.
 //
 // Confirmation state machine (loss/reorder safety of NewSetStubs):
 //   pending   — created, the holder process has never mentioned the ref yet.
@@ -18,7 +19,6 @@
 
 #include <cstdint>
 #include <map>
-#include <vector>
 
 #include "src/common/config.h"
 #include "src/common/ids.h"
@@ -26,7 +26,6 @@
 namespace adgc {
 
 struct ScionEntry {
-  RefId ref = kNoRef;
   /// Process holding (or about to hold) the matching stub.
   ProcessId holder = kNoProcess;
   /// The local object this scion protects.
@@ -42,6 +41,10 @@ struct ScionEntry {
   /// Heap slot of `target` as the last LGC found it; a hint, checked on use
   /// (Heap::resolve).
   std::uint32_t target_slot = ~std::uint32_t{0};
+  /// Consecutive detections for this scion that timed out, and the
+  /// earliest time the next one may launch (exponential relaunch backoff).
+  std::uint32_t detection_timeouts = 0;
+  SimTime relaunch_not_before = 0;
 };
 
 class ScionTable {
@@ -60,18 +63,15 @@ class ScionTable {
   auto begin() const { return entries_.begin(); }
   auto end() const { return entries_.end(); }
 
-  /// Scions held by `holder` (the subject of one NewSetStubs message).
-  std::vector<RefId> refs_from_holder(ProcessId holder) const;
-
   /// Records an accepted export_seq; returns false if `seq` is stale
   /// (≤ the recorded one), in which case the message must be ignored.
   bool accept_export_seq(ProcessId holder, std::uint64_t seq);
 
-  /// Drops all per-holder bookkeeping (the export_seq watermark) for an
-  /// evicted peer. Its fresh incarnation restarts the series from an
-  /// incarnation-epoched value that sorts above everything anyway; keeping
-  /// the entry would only leak a map slot per evicted peer.
-  void forget_holder(ProcessId holder) { export_seq_.erase(holder); }
+  /// Erases every scion `holder` holds, and its export_seq watermark (an
+  /// evicted peer: its fresh incarnation restarts the series from an
+  /// incarnation-epoched value that sorts above everything anyway). Returns
+  /// the number of scions erased.
+  std::size_t drop_holder(ProcessId holder);
 
  private:
   std::map<RefId, ScionEntry> entries_;  // ordered: deterministic iteration

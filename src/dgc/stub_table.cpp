@@ -2,13 +2,11 @@
 
 namespace adgc {
 
-StubEntry& StubTable::ensure(RefId ref, ObjectId target, SimTime now) {
+StubEntry& StubTable::ensure(RefId ref, ObjectId target) {
   auto [it, inserted] = entries_.try_emplace(ref);
   if (inserted) {
     StubEntry& e = it->second;
-    e.ref = ref;
     e.target = target;
-    e.created_at = now;
     if (free_slots_.empty()) {
       e.slot = slot_end();
       slot_ref_.push_back(ref);

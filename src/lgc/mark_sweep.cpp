@@ -30,7 +30,6 @@ void mark(Heap& heap, const std::vector<Slot>& seeds, std::uint64_t floor,
 Result run(Heap& heap, StubTable& stubs, ScionTable& scions,
            const std::set<RefId>& pinned_stubs, SimTime /*now*/) {
   Result res;
-  res.objects_before = heap.size();
 
   // Mark: the root colour first, so the scion colour only takes what the
   // roots do not reach.
@@ -50,15 +49,13 @@ Result run(Heap& heap, StubTable& stubs, ScionTable& scions,
   }
   mark(heap, seeds, root, root + 1);
 
-  // One pass over the slots: sweep the unmarked, and count the survivors'
-  // stub holders and Local.Reach into arrays by stub slot.
-  std::vector<std::uint32_t> holders(stubs.slot_end(), 0);
-  std::vector<bool> local_reach(stubs.slot_end(), false);
+  // One pass over the slots: sweep the unmarked, and mark the survivors'
+  // stubs held in an array by stub slot.
+  std::vector<bool> held(stubs.slot_end(), false);
   for (Slot s = 0; s < heap.slot_end(); ++s) {
     const HeapObject* obj = heap.at(s);
     if (!obj) continue;
-    const std::uint64_t c = heap.colour(s);
-    if (c < root) {
+    if (heap.colour(s) < root) {
       heap.free(s);
       ++res.objects_reclaimed;
       continue;
@@ -66,22 +63,17 @@ Result run(Heap& heap, StubTable& stubs, ScionTable& scions,
     const std::span<std::uint32_t> hints = heap.stub_hints(s);
     for (std::size_t k = 0; k < hints.size(); ++k) {
       const std::uint32_t t = stubs.resolve(obj->remote_fields[k], hints[k]);
-      if (t == kNoSlot) continue;
-      ++holders[t];
-      if (c == root) local_reach[t] = true;
+      if (t != kNoSlot) held[t] = true;
     }
   }
 
-  // Store the counts, and delete orphaned stubs (unless pinned by an
-  // in-flight export).
-  std::vector<RefId> doomed;
-  for (auto& [ref, stub] : stubs) {
-    stub.holders = holders[stub.slot];
-    stub.local_reach = local_reach[stub.slot];
-    if (stub.holders == 0 && !pinned_stubs.contains(ref)) doomed.push_back(ref);
+  // Delete orphaned stubs (unless pinned by an in-flight export).
+  for (std::uint32_t t = 0; t < held.size(); ++t) {
+    const RefId ref = stubs.ref_at(t);
+    if (held[t] || ref == kNoRef || pinned_stubs.contains(ref)) continue;
+    stubs.erase(ref);
+    ++res.stubs_deleted;
   }
-  for (RefId ref : doomed) stubs.erase(ref);
-  res.stubs_deleted = doomed.size();
   return res;
 }
 

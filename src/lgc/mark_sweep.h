@@ -3,11 +3,11 @@
 // Contract with the distributed collector (paper §4):
 //  * scions act as GC roots — objects protected by an incoming remote
 //    reference survive even when locally unreachable;
-//  * the LGC reports which stubs survived and whether they are reachable
-//    from *local* roots (the DCDA's Local.Reach bit), and whether each
-//    scion's target is root-reachable (the candidate heuristic);
-//  * stubs with no surviving holder are deleted — the caller then announces
-//    the new stub set via NewSetStubs.
+//  * the LGC reports which stubs survived — stubs with no surviving holder
+//    are deleted, and the caller then announces the new stub set via
+//    NewSetStubs — and whether each scion's target is root-reachable (the
+//    candidate heuristic). Local.Reach is the summarizer's, read off the
+//    snapshot (src/snapshot/snapshot.h).
 //
 // `pinned_stubs` are references currently being exported through the
 // scion-first handshake: they must survive (and count as live for
@@ -15,8 +15,9 @@
 //
 // One two-colour mark over the heap's slots: what the roots reach gets the
 // root colour, what only the scions reach the scion colour, and anything
-// left below both is garbage. One pass over the slots then sweeps, counts
-// stub holders and sets Local.Reach from the colours.
+// left below both is garbage. One pass over the slots then sweeps and marks
+// the survivors' stubs held, in an array by stub slot; one pass over that
+// array deletes the unheld, unpinned stubs.
 #pragma once
 
 #include <set>
@@ -29,7 +30,6 @@
 namespace adgc::lgc {
 
 struct Result {
-  std::size_t objects_before = 0;
   std::size_t objects_reclaimed = 0;
   std::size_t stubs_deleted = 0;
 };

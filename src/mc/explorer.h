@@ -75,8 +75,6 @@ class Explorer {
  public:
   explicit Explorer(ExplorerOptions opts) : opts_(std::move(opts)) {}
 
-  const ExplorerOptions& options() const { return opts_; }
-
   /// Runs schedules driven by `strategy` until it is exhausted or a budget
   /// (schedules, wall clock) is hit — or a violation is found with
   /// stop_on_violation set.

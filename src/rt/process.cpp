@@ -115,9 +115,7 @@ void Process::remove_local_ref(ObjectSeq from, ObjectSeq to) {
 }
 
 void Process::remove_remote_ref(ObjectSeq from, RefId ref) {
-  if (heap_.remove_remote_field(from, ref)) {
-    if (StubEntry* stub = stubs_.find(ref); stub && stub->holders > 0) --stub->holders;
-  }
+  heap_.remove_remote_field(from, ref);
 }
 
 std::uint64_t Process::invoke(ObjectSeq caller, RefId via, InvokeEffect effect,
@@ -287,22 +285,15 @@ RefId Process::install_ref(ObjectSeq from, const ExportedRef& ref) {
     heap_.add_local_field(from, ref.target.seq);
     return kNoRef;
   }
-  const bool fresh = !stubs_.contains(ref.ref);
-  StubEntry& stub = stubs_.ensure(ref.ref, ref.target, env_.now());
-  if (fresh) {
-    metrics().stubs_created.add();
-    contacts_.insert(ref.target.owner);
-  }
-  ++stub.holders;
+  if (!stubs_.contains(ref.ref)) metrics().stubs_created.add();
+  stubs_.ensure(ref.ref, ref.target);
   heap_.add_remote_field(from, ref.ref);
   metrics().refs_imported.add();
   return ref.ref;
 }
 
 void Process::hold_existing_ref(ObjectSeq from, RefId ref) {
-  StubEntry* stub = stubs_.find(ref);
-  if (!stub) throw std::invalid_argument("hold_existing_ref: no such stub");
-  ++stub->holders;
+  if (!stubs_.contains(ref)) throw std::invalid_argument("hold_existing_ref: no such stub");
   heap_.add_remote_field(from, ref);
 }
 
@@ -466,14 +457,10 @@ void Process::on_invoke(ProcessId src, const InvokeMsg& msg) {
         install_ref(target_seq, arg);
       }
       break;
-    case InvokeEffect::kDropFields: {
+    case InvokeEffect::kDropFields:
       obj->local_fields.clear();
-      for (RefId ref : obj->remote_fields) {
-        if (StubEntry* stub = stubs_.find(ref); stub && stub->holders > 0) --stub->holders;
-      }
       obj->remote_fields.clear();
       break;
-    }
   }
 
   if (msg.want_reply) {
@@ -548,11 +535,7 @@ void Process::on_cdm(ProcessId /*src*/, const CdmMsg& msg) {
   detector_->on_cdm(msg, env_.now());
 }
 
-void Process::drop_scion(RefId ref) {
-  scions_.erase(ref);
-  candidate_failures_.erase(ref);
-  candidate_not_before_.erase(ref);
-}
+void Process::drop_scion(RefId ref) { scions_.erase(ref); }
 
 void Process::on_cycle_found(DetectionId id, RefId candidate, std::uint64_t expected_ic) {
   detector_->finish(id, env_.now());
@@ -637,11 +620,11 @@ void Process::run_lgc() {
   // wait only postpones deletions and confirmations by one period.
   const std::size_t large = cfg_.batch_max_bytes / sizeof(RefId);
   std::set<ProcessId> due;
-  for (ProcessId dst : contacts_) {
+  for (const auto& [dst, version] : stubs_.listing_versions()) {
     const auto it = nss_sent_.find(dst);
     const bool refresh =
         it == nss_sent_.end() || env_.now() >= it->second.at + cfg_.scion_pending_grace_us;
-    const bool changed = !refresh && it->second.version != stubs_.listing_version(dst);
+    const bool changed = !refresh && it->second.version != version;
     const bool coalesce = changed && it->second.refs > large && it->second.lgc != 0 &&
                           it->second.lgc + 1 == lgc_run_;
     if (refresh || (changed && !coalesce)) {
@@ -770,13 +753,9 @@ bool Process::recover_from_store() {
   // summary installed from it keeps in-flight detections consistent.
   const std::optional<SnapshotData> snap = install_stored_summary();
   if (!snap) return false;
+  // The restored stubs' owners are the NewSetStubs contacts again; owners of
+  // references we no longer hold will expire the orphan scions themselves.
   restore_snapshot(*snap, heap_, stubs_, scions_, env_.now());
-  // Rebuild the NewSetStubs contact set from the restored stub table; owners
-  // of references we no longer hold will expire the orphan scions themselves.
-  for (const auto& [ref, stub] : stubs_) {
-    (void)ref;
-    contacts_.insert(stub.target.owner);
-  }
   ADGC_INFO("P" << pid_ << " (inc " << incarnation_ << ") recovered heap="
                 << heap_.size() << " stubs=" << stubs_.size() << " scions="
                 << scions_.size() << " from snapshot v" << summary_->version);
@@ -831,11 +810,17 @@ void Process::maybe_evict_peers() {
   // authoritative (possibly empty) NewSetStubs, which also expires any
   // orphan scions it no longer backs; a probe still unanswered an interval
   // later scores a failure strike. A suspected peer (enough strikes or
-  // other unanswered requests) silent for the whole timeout is convicted,
-  // about one timeout after it was last heard from.
+  // other unanswered requests) is convicted once a whole timeout has passed
+  // since the first probe it left unanswered: about one interval plus one
+  // timeout after it was last heard from. The clock starts at that probe,
+  // not at the last message heard, because for a quiet peer the last
+  // message is the previous probe's answer, and an outage would then only
+  // have to swallow the probes; from the probe, any outage shorter than the
+  // timeout minus one interval is ridden out whatever its phase.
   const SimTime interval =
       std::max<SimTime>(timeout / (SimTime{cfg_.suspect_after_failures} + 1), 1);
-  std::set<ProcessId> watched = contacts_;
+  std::set<ProcessId> watched;
+  for (const auto& [owner, version] : stubs_.listing_versions()) watched.insert(owner);
   for (const auto& [ref, scion] : scions_) {
     (void)ref;
     if (scion.holder != kNoProcess) watched.insert(scion.holder);
@@ -846,16 +831,21 @@ void Process::maybe_evict_peers() {
     const SimTime silent_since = std::max(heard, evict_watch_since_);
     if (now < silent_since + interval) continue;
     const auto probe = nss_solicits_.find(peer);
-    const bool probe_due = probe == nss_solicits_.end() || now >= probe->second + interval;
-    if (probe_due && probe != nss_solicits_.end() && heard < probe->second) {
+    const bool probing = probe != nss_solicits_.end();
+    const bool probe_due = !probing || now >= probe->second.last + interval;
+    if (probe_due && probing && heard < probe->second.last) {
       peer_health_.on_timeout(peer, now);  // unanswered for a whole interval
     }
-    if (peer_health_.suspected(peer) && now >= silent_since + timeout) {
+    // Anything heard since the clock's first probe resets the clock.
+    const bool unanswered = probing && heard < probe->second.first;
+    if (unanswered && peer_health_.suspected(peer) && now >= probe->second.first + timeout) {
       evict_peer(peer);
     } else if (probe_due) {
       metrics().nss_solicits_sent.add();
       send(peer, NssSolicitMsg{});
-      nss_solicits_[peer] = now;
+      Probes& p = nss_solicits_[peer];
+      if (!unanswered) p.first = now;
+      p.last = now;
     }
   }
 }
@@ -875,11 +865,7 @@ void Process::evict_peer(ProcessId peer) {
   //    invoke again, and a fresh incarnation must re-export through the
   //    AddScion handshake (minting new RefIds), so dropping these lets the
   //    mark-sweep below reclaim everything only the dead peer kept alive.
-  for (RefId ref : scions_.refs_from_holder(peer)) {
-    drop_scion(ref);
-    metrics().eviction_scions_dropped.add();
-  }
-  scions_.forget_holder(peer);
+  metrics().eviction_scions_dropped.add(scions_.drop_holder(peer));
 
   // 2. In-flight detections: any CDM path may cross the dead peer and would
   //    then only expire by timeout. Abort them all (the crash rule) and
@@ -887,9 +873,7 @@ void Process::evict_peer(ProcessId peer) {
   if (cfg_.dcda_enabled) {
     const auto aborted = detector_->abort_for_crash(peer, env_.now());
     metrics().detections_aborted_eviction.add(aborted.size());
-    for (const auto& rec : aborted) {
-      if (scions_.contains(rec.candidate)) note_detection_timeout(rec.candidate);
-    }
+    for (const auto& rec : aborted) note_detection_timeout(rec.candidate);
   }
 
   // 3. Export handshakes whose owner is the dead peer can never be acked;
@@ -934,7 +918,7 @@ void Process::evict_peer(ProcessId peer) {
 
   // 5. Reference-listing and transport-side state toward the peer, so
   //    survivor memory stays bounded under churn.
-  contacts_.erase(peer);
+  stubs_.forget_owner(peer);
   nss_sent_.erase(peer);
   nss_solicits_.erase(peer);
   for (auto it = inflight_calls_.begin(); it != inflight_calls_.end();) {
@@ -947,11 +931,12 @@ void Process::evict_peer(ProcessId peer) {
 
 void Process::note_detection_timeout(RefId candidate) {
   if (!cfg_.adaptive_faults) return;
-  std::uint32_t& failures = candidate_failures_[candidate];
-  if (failures < 20) ++failures;
-  candidate_not_before_[candidate] =
+  ScionEntry* scion = scions_.find(candidate);
+  if (!scion) return;  // collected meanwhile: nothing left to relaunch
+  if (scion->detection_timeouts < 20) ++scion->detection_timeouts;
+  scion->relaunch_not_before =
       env_.now() + backoff_delay(cfg_.dcda_scan_period_us, cfg_.detection_backoff_cap_us,
-                                 static_cast<int>(failures), env_.rng());
+                                 static_cast<int>(scion->detection_timeouts), env_.rng());
 }
 
 void Process::run_dcda_scan() {
@@ -959,24 +944,12 @@ void Process::run_dcda_scan() {
   for (const auto& rec : detector_->expire(env_.now())) {
     note_detection_timeout(rec.candidate);
   }
-  CandidateHealthView health;
-  health.peers = &peer_health_;
-  health.not_before = &candidate_not_before_;
   const std::vector<RefId> cands = select_candidates(
       scions_, summary_.get(), detector_->manager(), cfg_, env_.now(),
-      cfg_.adaptive_faults ? &health : nullptr,
+      cfg_.adaptive_faults ? &peer_health_ : nullptr,
       cfg_.adaptive_faults ? &env_.metrics() : nullptr);
   for (RefId c : cands) {
     detector_->start_detection(c, env_.now());
-  }
-  // Drop backoff state for scions that no longer exist (collected or expired).
-  for (auto it = candidate_not_before_.begin(); it != candidate_not_before_.end();) {
-    if (!scions_.contains(it->first)) {
-      candidate_failures_.erase(it->first);
-      it = candidate_not_before_.erase(it);
-    } else {
-      ++it;
-    }
   }
 }
 

@@ -173,8 +173,8 @@ class Process {
     peer_evicted_hook_ = std::move(fn);
   }
 
-  /// Deletes the scion `ref` and its candidate backoff state; the next LGC
-  /// reclaims whatever only it kept alive. No-op for an unknown ref.
+  /// Deletes the scion `ref`; the next LGC reclaims whatever only it kept
+  /// alive. No-op for an unknown ref.
   void drop_scion(RefId ref);
 
   // ---------- message entry point ----------
@@ -200,7 +200,6 @@ class Process {
   Detector& detector() { return *detector_; }
   const Detector& detector() const { return *detector_; }
   std::shared_ptr<const SummarizedGraph> current_summary() const { return summary_; }
-  std::uint64_t snapshot_version() const { return snapshot_version_; }
   /// True while a pipelined snapshot is between capture and publish.
   bool snapshot_in_flight() const { return pipeline_ && pipeline_->in_flight(); }
   /// Waits out a running pipeline pass (its persist included) and drops any
@@ -271,8 +270,8 @@ class Process {
   /// scion holders silent for one probe interval (`peer_death_timeout_us /
   /// (suspect_after_failures + 1)`) get one NssSolicit per interval; a
   /// probe unanswered for an interval is a failure strike, and a suspected
-  /// peer silent for the whole timeout is evicted (see the comment in the
-  /// definition).
+  /// peer that left a probe unanswered for the whole timeout is evicted
+  /// (see the comment in the definition).
   void maybe_evict_peers();
 
   // Export machinery.
@@ -284,6 +283,7 @@ class Process {
   SimTime handshake_retry_delay(int attempt);
   /// A detection for `candidate` timed out: exponentially back off its next
   /// launch (lossy/partitioned links should not be hammered at scan rate).
+  /// No-op once the scion is gone.
   void note_detection_timeout(RefId candidate);
   void abandon_invoke(std::uint64_t call_id);
   void maybe_flush_invoke(std::uint64_t call_id);
@@ -324,7 +324,6 @@ class Process {
   std::uint64_t next_handshake_ = 1;
   std::map<ProcessId, NssSent> nss_sent_;
   std::uint64_t lgc_run_ = 0;  // LGC runs so far; numbers them from 1
-  std::set<ProcessId> contacts_;  // processes that ever held our stubs' targets
 
   std::map<std::uint64_t, PendingInvoke> pending_invokes_;
   std::map<std::uint64_t, Handshake> handshakes_;
@@ -333,8 +332,6 @@ class Process {
   /// call_id → (callee, send time); rmi_rtt_us samples. Bounded; calls
   /// whose reply never arrives age out by insertion order (ids ascend).
   std::map<std::uint64_t, std::pair<ProcessId, SimTime>> inflight_calls_;
-  std::map<RefId, std::uint32_t> candidate_failures_;   // consecutive timeouts
-  std::map<RefId, SimTime> candidate_not_before_;       // re-launch backoff
   std::map<RefId, std::uint32_t> pinned_;  // stub pin counts
   std::set<RefId> pinned_set_;             // cached key set for the LGC
 
@@ -346,11 +343,16 @@ class Process {
   /// eviction enabled); the silence baseline for peers we have never heard
   /// from at all.
   SimTime evict_watch_since_ = 0;
-  /// Lease probes: when each silent watched peer was last sent an
-  /// NssSolicit. An entry whose send time is newer than the peer's
-  /// last_heard an interval later means the probe went unanswered — a
-  /// failure strike.
-  std::map<ProcessId, SimTime> nss_solicits_;
+  /// Lease probes to a silent watched peer: when the latest NssSolicit
+  /// left, and when the first one left that the peer has not answered (the
+  /// conviction clock; a message heard since then resets it). A latest
+  /// probe newer than the peer's last_heard an interval later went
+  /// unanswered — a failure strike.
+  struct Probes {
+    SimTime first = 0;
+    SimTime last = 0;
+  };
+  std::map<ProcessId, Probes> nss_solicits_;
   bool self_evicted_ = false;
   std::function<void(ProcessId)> self_evicted_hook_;
   std::function<void(ProcessId)> peer_evicted_hook_;

@@ -75,7 +75,6 @@ class Runtime {
   /// (e.g. the periodic collector timers armed by start()) migrates into the
   /// pending list. One-way switch.
   void enable_explicit_schedule();
-  bool explicit_schedule() const { return explicit_; }
   /// The pending events, in creation order (deterministic).
   std::vector<PendingInfo> pending_infos() const;
   /// Executes the pending event `id` now; logical time advances to

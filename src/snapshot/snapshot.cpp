@@ -98,20 +98,7 @@ void restore_snapshot(const SnapshotData& snap, Heap& heap, StubTable& stubs,
   }
   for (ObjectSeq root : snap.roots) heap.add_root(root);
 
-  for (const auto& s : snap.stubs) {
-    StubEntry& e = stubs.ensure(s.ref, s.target, now);
-    e.ic = s.ic;
-    e.holders = 0;           // recomputed from the heap below
-    e.local_reach = true;    // conservative until the first LGC runs
-  }
-  // Holder counts are not serialized; they are derivable from the heap.
-  for (Slot s = 0; s < heap.slot_end(); ++s) {
-    const HeapObject* obj = heap.at(s);
-    if (!obj) continue;
-    for (RefId ref : obj->remote_fields) {
-      if (StubEntry* e = stubs.find(ref)) ++e->holders;
-    }
-  }
+  for (const auto& s : snap.stubs) stubs.ensure(s.ref, s.target).ic = s.ic;
 
   for (const auto& s : snap.scions) {
     ScionEntry& e = scions.ensure(s.ref, s.holder, s.target, now);

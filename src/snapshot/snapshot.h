@@ -87,11 +87,12 @@ SnapshotData capture_snapshot(ProcessId pid, SimTime now, const Heap& heap,
 bool link_snapshot(SnapshotData& snap, const std::vector<ObjectSeq>& local_seqs);
 
 /// Rebuilds heap + DGC tables from a snapshot (crash recovery). The caller
-/// provides empty tables. Restored scions come back unconfirmed with a fresh
-/// grace window and `target_root_reachable = true`, and stub holder counts
-/// are recomputed from the restored heap — conservative defaults that can
-/// delay collection but never delete a live reference. The acyclic protocol
-/// (NewSetStubs / AddScion retry) and the next LGC re-derive the exact state.
+/// provides empty tables. Stubs come back with their targets and ICs (the
+/// next LGC finds their holders in the restored heap). Restored scions come
+/// back unconfirmed with a fresh grace window and `target_root_reachable =
+/// true` — conservative defaults that can delay collection but never delete
+/// a live reference. The acyclic protocol (NewSetStubs / AddScion retry) and
+/// the next LGC re-derive the exact state.
 /// Objects whose seq the heap cannot adopt, and every repeat of a seq after
 /// its first, are left out.
 void restore_snapshot(const SnapshotData& snap, Heap& heap, StubTable& stubs,

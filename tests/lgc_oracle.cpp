@@ -37,15 +37,14 @@ std::vector<ObjectSeq> all_seqs(const Heap& heap) {
 LgcOutcome expected_lgc(const Heap& heap, const StubTable& stubs, const ScionTable& scions,
                         const std::set<RefId>& pinned) {
   LgcOutcome out;
-  out.objects_before = heap.size();
   const std::vector<ObjectSeq> roots(heap.roots().begin(), heap.roots().end());
   const std::unordered_set<ObjectSeq> from_root = reach_from(heap, roots);
   std::vector<ObjectSeq> seeds = roots;
   for (const auto& [ref, scion] : scions) seeds.push_back(scion.target);
   const std::unordered_set<ObjectSeq> live = reach_from(heap, seeds);
 
-  std::map<RefId, std::pair<std::uint32_t, bool>> counts;
-  for (const auto& [ref, stub] : stubs) counts[ref] = {0, false};
+  std::map<RefId, std::uint32_t> holders;
+  for (const auto& [ref, stub] : stubs) holders[ref] = 0;
   for (ObjectSeq seq : all_seqs(heap)) {
     if (!live.contains(seq)) {
       ++out.objects_reclaimed;
@@ -54,17 +53,14 @@ LgcOutcome expected_lgc(const Heap& heap, const StubTable& stubs, const ScionTab
     const HeapObject* obj = heap.find(seq);
     out.objects[seq] = {obj->local_fields, obj->remote_fields};
     for (RefId ref : obj->remote_fields) {
-      auto it = counts.find(ref);
-      if (it == counts.end()) continue;
-      ++it->second.first;
-      it->second.second = it->second.second || from_root.contains(seq);
+      if (auto it = holders.find(ref); it != holders.end()) ++it->second;
     }
   }
-  for (const auto& [ref, count] : counts) {
-    if (count.first == 0 && !pinned.contains(ref)) {
+  for (const auto& [ref, count] : holders) {
+    if (count == 0 && !pinned.contains(ref)) {
       ++out.stubs_deleted;
     } else {
-      out.stubs[ref] = count;
+      out.stubs.insert(ref);
     }
   }
   for (const auto& [ref, scion] : scions) {
@@ -76,14 +72,13 @@ LgcOutcome expected_lgc(const Heap& heap, const StubTable& stubs, const ScionTab
 LgcOutcome observed_lgc(const Heap& heap, const StubTable& stubs, const ScionTable& scions,
                         const lgc::Result& res) {
   LgcOutcome out;
-  out.objects_before = res.objects_before;
   out.objects_reclaimed = res.objects_reclaimed;
   out.stubs_deleted = res.stubs_deleted;
   for (ObjectSeq seq : all_seqs(heap)) {
     const HeapObject* obj = heap.find(seq);
     out.objects[seq] = {obj->local_fields, obj->remote_fields};
   }
-  for (const auto& [ref, stub] : stubs) out.stubs[ref] = {stub.holders, stub.local_reach};
+  for (const auto& [ref, stub] : stubs) out.stubs.insert(ref);
   for (const auto& [ref, scion] : scions) {
     out.target_root_reachable[ref] = scion.target_root_reachable;
   }
@@ -92,9 +87,6 @@ LgcOutcome observed_lgc(const Heap& heap, const StubTable& stubs, const ScionTab
 
 std::string describe_difference(const LgcOutcome& want, const LgcOutcome& got) {
   std::ostringstream os;
-  if (want.objects_before != got.objects_before) {
-    os << "objects_before " << want.objects_before << " != " << got.objects_before << "; ";
-  }
   if (want.objects_reclaimed != got.objects_reclaimed) {
     os << "reclaimed " << want.objects_reclaimed << " != " << got.objects_reclaimed << "; ";
   }
@@ -109,16 +101,10 @@ std::string describe_difference(const LgcOutcome& want, const LgcOutcome& got) {
   for (const auto& [seq, fields] : got.objects) {
     if (!want.objects.contains(seq)) os << "object " << seq << " survived; ";
   }
-  for (const auto& [ref, count] : want.stubs) {
-    auto it = got.stubs.find(ref);
-    if (it == got.stubs.end()) {
-      os << "stub " << ref << " missing; ";
-    } else if (it->second != count) {
-      os << "stub " << ref << " holders/reach " << count.first << "/" << count.second
-         << " != " << it->second.first << "/" << it->second.second << "; ";
-    }
+  for (RefId ref : want.stubs) {
+    if (!got.stubs.contains(ref)) os << "stub " << ref << " missing; ";
   }
-  for (const auto& [ref, count] : got.stubs) {
+  for (RefId ref : got.stubs) {
     if (!want.stubs.contains(ref)) os << "stub " << ref << " survived; ";
   }
   if (want.target_root_reachable != got.target_root_reachable) {

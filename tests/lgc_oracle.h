@@ -19,15 +19,13 @@ namespace adgc {
 std::unordered_set<ObjectSeq> reach_from(const Heap& heap,
                                          const std::vector<ObjectSeq>& seeds);
 
-/// Everything one LGC decides: the survivors with their fields, each
-/// surviving stub's holder count and Local.Reach, and each scion's
-/// target_root_reachable.
+/// Everything one LGC decides: the survivors with their fields, the
+/// surviving stubs, and each scion's target_root_reachable.
 struct LgcOutcome {
-  std::size_t objects_before = 0;
   std::size_t objects_reclaimed = 0;
   std::size_t stubs_deleted = 0;
   std::map<ObjectSeq, std::pair<std::vector<ObjectSeq>, std::vector<RefId>>> objects;
-  std::map<RefId, std::pair<std::uint32_t, bool>> stubs;
+  std::set<RefId> stubs;
   std::map<RefId, bool> target_root_reachable;
 
   bool operator==(const LgcOutcome&) const = default;

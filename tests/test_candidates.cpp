@@ -108,6 +108,25 @@ TEST_F(Candidates, OldestQuietOrdersByLastChange) {
   (void)young;
 }
 
+// The relaunch backoff a timed-out detection leaves on its scion defers the
+// candidate, but only under the adaptive inputs (a tracker passed).
+TEST_F(Candidates, RelaunchBackoffDefersOnlyWithTracker) {
+  const RefId ref = add(3, false, 0);
+  scions.find(ref)->relaunch_not_before = 300;
+  Metrics metrics;
+  const PeerHealthTracker peers(cfg, metrics);
+
+  EXPECT_TRUE(select_candidates(scions, &snap, manager, cfg, 200, &peers, &metrics).empty());
+  EXPECT_EQ(metrics.detections_deferred_backoff.get(), 1u);
+  EXPECT_EQ(select_candidates(scions, &snap, manager, cfg, 200, nullptr, &metrics),
+            std::vector<RefId>{ref})
+      << "without a tracker the backoff is not read";
+  EXPECT_EQ(select_candidates(scions, &snap, manager, cfg, 300, &peers, &metrics),
+            std::vector<RefId>{ref})
+      << "the backoff has run out";
+  EXPECT_EQ(metrics.detections_deferred_backoff.get(), 1u);
+}
+
 TEST(DetectionManager, BeginEndExpire) {
   DetectionManager m(4);
   const DetectionId a = m.begin(make_ref_id(0, 1), /*now=*/0, /*timeout=*/100);

@@ -13,10 +13,12 @@
 //     it unpins is reclaimed by the next LGC;
 //   * a zombie (evicted but still running) is NACKed into self_evicted and
 //     a fresh incarnation is readmitted and fully functional;
-//   * a silent dead peer is evicted automatically about one timeout after
-//     it was last heard from, whichever way the references point, after a
-//     few paced probes; a live owner that only receives from its holder
-//     never is, not even across a short partition;
+//   * a silent dead peer is evicted automatically about one interval plus
+//     one timeout after it was last heard from, whichever way the
+//     references point, after a few paced probes; a live owner that only
+//     receives from its holder never is, not across a short partition, nor
+//     across any outage shorter than the timeout minus one interval,
+//     whatever its phase;
 //   * the fault sweep's eviction preset reclaims every stranded stub/scion
 //     in bounded time without touching live sentinels;
 //   * the model checker finds no safety violation in the evict scenario's
@@ -143,7 +145,7 @@ TEST(Eviction, EvictPurgesBothDirectionsAndUnpinsGarbage) {
 }
 
 // Every field holding a reference into the evicted peer loses it, in every
-// holder; a reference toward another peer keeps its field and holder count.
+// holder; a reference toward another peer keeps its field and its stub.
 TEST(Eviction, EvictStripsDeadRefsFromEveryHolder) {
   Runtime rt(3, sim::manual_config(13));
   const ObjectId a{0, rt.proc(0).create_object()};
@@ -154,7 +156,7 @@ TEST(Eviction, EvictStripsDeadRefsFromEveryHolder) {
   const RefId dead2 = rt.link(a, ObjectId{1, rt.proc(1).create_object()});
   const RefId live = rt.link(a, ObjectId{2, rt.proc(2).create_object()});
   rt.proc(0).hold_existing_ref(b.seq, dead2);
-  ASSERT_EQ(rt.proc(0).stubs().find(dead2)->holders, 2u);
+  ASSERT_EQ(rt.proc(0).heap().find(b.seq)->remote_fields, std::vector<RefId>{dead2});
 
   rt.proc(0).evict_peer(1);
 
@@ -163,8 +165,9 @@ TEST(Eviction, EvictStripsDeadRefsFromEveryHolder) {
   EXPECT_FALSE(rt.proc(0).stubs().contains(dead1));
   EXPECT_FALSE(rt.proc(0).stubs().contains(dead2));
   EXPECT_EQ(rt.proc(0).metrics().eviction_stubs_retired.get(), 2u);
-  ASSERT_TRUE(rt.proc(0).stubs().contains(live));
-  EXPECT_EQ(rt.proc(0).stubs().find(live)->holders, 1u);
+  EXPECT_TRUE(rt.proc(0).stubs().contains(live));
+  rt.proc(0).run_lgc();
+  EXPECT_TRUE(rt.proc(0).stubs().contains(live)) << "a's field still holds it";
 }
 
 TEST(Eviction, ZombieIsNackedAndFreshIncarnationReadmitted) {
@@ -299,9 +302,53 @@ TEST(Eviction, ShortPartitionNeverConvictsLiveOwner) {
   }
 }
 
+// The start phases (offsets from 2.5 s, in 50 ms steps over one probe
+// interval) at which a two-way block of `block` convicts someone in a quiet
+// holder/owner pair: default config, 2.5 s timeout, seeds 1–3.
+std::vector<std::string> convicting_phases(SimTime block) {
+  constexpr SimTime kTimeout = 2'500'000;
+  std::vector<std::string> out;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    RuntimeConfig cfg;
+    cfg.seed = seed;
+    cfg.proc.peer_death_timeout_us = kTimeout;
+    const SimTime interval = kTimeout / (cfg.proc.suspect_after_failures + 1);
+    for (SimTime phase = 0; phase < interval; phase += 50'000) {
+      Runtime rt(2, cfg);
+      const LiveRef lr = build_live_ref(rt, 0, 1);
+      rt.proc(0).invoke(lr.holder_obj.seq, lr.ref, InvokeEffect::kTouch, {}, true);
+      rt.run_until(2'500'000 + phase);
+      rt.network().set_link_blocked(0, 1, true);
+      rt.network().set_link_blocked(1, 0, true);
+      rt.run_for(block);
+      rt.network().set_link_blocked(0, 1, false);
+      rt.network().set_link_blocked(1, 0, false);
+      rt.run_for(2 * kTimeout);
+      if (rt.total_metrics().peers_evicted.get() > 0 || !rt.proc(0).stubs().contains(lr.ref)) {
+        out.push_back("seed " + std::to_string(seed) + " +" + std::to_string(phase / 1000) +
+                      " ms");
+      }
+    }
+  }
+  return out;
+}
+
+// A quiet holder hears its owner only in the answers to its probes, so the
+// conviction clock starts at the first probe left unanswered, not at the
+// last answer: an outage shorter than the timeout minus one probe interval
+// is ridden out whatever its phase against the probes.
+TEST(Eviction, OutageBoundHoldsWhateverThePhase) {
+  EXPECT_EQ(convicting_phases(1'500'000), std::vector<std::string>{});
+  const ProcessConfig defaults;
+  const SimTime interval = 2'500'000 / (defaults.suspect_after_failures + 1);
+  EXPECT_EQ(convicting_phases(2'500'000 - interval - defaults.lgc_period_us),
+            std::vector<std::string>{});
+}
+
 // A crashed scion holder draws one probe per interval — at most
-// suspect_after_failures + 1 before the conviction, not one per LGC — and
-// is convicted no earlier than one timeout after it was last heard from.
+// suspect_after_failures + 2 before the conviction, not one per LGC — and
+// is convicted no earlier than one timeout after the first probe, which
+// leaves one interval into its silence.
 TEST(Eviction, ProbesArePaced) {
   RuntimeConfig cfg = sim::fast_config(21);
   cfg.proc.peer_death_timeout_us = 400'000;
@@ -320,8 +367,10 @@ TEST(Eviction, ProbesArePaced) {
   ASSERT_EQ(rt.proc(0).metrics().peers_evicted.get(), 1u);
   EXPECT_LE(rt.proc(0).metrics().nss_solicits_sent.get() - probes_before,
             cfg.proc.suspect_after_failures + 2);
-  EXPECT_GE(rt.now(), heard + cfg.proc.peer_death_timeout_us)
-      << "evicted before a whole timeout of silence";
+  const SimTime interval =
+      cfg.proc.peer_death_timeout_us / (cfg.proc.suspect_after_failures + 1);
+  EXPECT_GE(rt.now(), heard + interval + cfg.proc.peer_death_timeout_us)
+      << "evicted before a whole timeout from the first unanswered probe";
 }
 
 class EvictionSweep : public ::testing::TestWithParam<std::uint64_t> {};

@@ -67,11 +67,25 @@ TEST(Scenarios, Fig4Shape) {
   const auto st = sim::global_stats(rt);
   EXPECT_EQ(st.total_objects, 8u);
   EXPECT_EQ(st.garbage_objects, 8u);  // garbage from the start
-  // V and Y share the same stub entry.
-  const StubEntry* stub = rt.proc(4).stubs().find(fig.VY_to_T);
-  ASSERT_NE(stub, nullptr);
-  EXPECT_EQ(stub->holders, 2u);
+  // V and Y share the same stub entry: both fields carry the one ref.
+  Process& p5 = rt.proc(4);
+  ASSERT_TRUE(p5.stubs().contains(fig.VY_to_T));
+  EXPECT_EQ(p5.heap().find(fig.V.seq)->remote_fields, std::vector<RefId>{fig.VY_to_T});
+  EXPECT_EQ(p5.heap().find(fig.Y.seq)->remote_fields, std::vector<RefId>{fig.VY_to_T});
   EXPECT_EQ(st.scions, 7u);  // 8 remote refs but V/Y share one
+
+  // The shared stub survives while either holder lives, and dies in the
+  // LGC that reclaims the last one.
+  p5.run_lgc();
+  EXPECT_TRUE(p5.stubs().contains(fig.VY_to_T));
+  p5.drop_scion(fig.F_to_V);
+  p5.run_lgc();
+  EXPECT_FALSE(p5.heap().exists(fig.V.seq));
+  EXPECT_TRUE(p5.stubs().contains(fig.VY_to_T)) << "Y still holds it";
+  p5.drop_scion(fig.ZD_to_Y);
+  p5.run_lgc();
+  EXPECT_FALSE(p5.heap().exists(fig.Y.seq));
+  EXPECT_FALSE(p5.stubs().contains(fig.VY_to_T));
 }
 
 TEST(Scenarios, Fig1PinControlsLiveness) {

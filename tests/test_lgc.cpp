@@ -74,7 +74,7 @@ TEST(Lgc, OrphanedStubsDeleted) {
   World w;
   const ObjectSeq a = w.heap.allocate();  // will die
   const RefId ref = make_ref_id(0, 1);
-  w.stubs.ensure(ref, ObjectId{1, 5}, 0);
+  w.stubs.ensure(ref, ObjectId{1, 5});
   w.heap.add_remote_field(a, ref);
 
   const auto res = w.gc();
@@ -86,7 +86,7 @@ TEST(Lgc, OrphanedStubsDeleted) {
 TEST(Lgc, PinnedStubsSurviveWithoutHolders) {
   World w;
   const RefId ref = make_ref_id(0, 1);
-  w.stubs.ensure(ref, ObjectId{1, 5}, 0);
+  w.stubs.ensure(ref, ObjectId{1, 5});
   w.pinned.insert(ref);
   const auto res = w.gc();
   EXPECT_EQ(res.stubs_deleted, 0u);
@@ -96,38 +96,48 @@ TEST(Lgc, PinnedStubsSurviveWithoutHolders) {
   EXPECT_FALSE(w.stubs.contains(ref));
 }
 
-TEST(Lgc, LocalReachFlagComputed) {
+TEST(Lgc, StubsOfLiveHoldersSurvive) {
   World w;
   // root → a → (stub r1); scion-kept s → (stub r2).
   const ObjectSeq a = w.heap.allocate();
   const ObjectSeq s = w.heap.allocate();
   w.heap.add_root(a);
   const RefId r1 = make_ref_id(0, 1), r2 = make_ref_id(0, 2);
-  w.stubs.ensure(r1, ObjectId{1, 1}, 0);
-  w.stubs.ensure(r2, ObjectId{2, 1}, 0);
+  w.stubs.ensure(r1, ObjectId{1, 1});
+  w.stubs.ensure(r2, ObjectId{2, 1});
   w.heap.add_remote_field(a, r1);
   w.heap.add_remote_field(s, r2);
   w.scions.ensure(make_ref_id(9, 9), 9, s, 0);
 
-  w.gc();
-  EXPECT_TRUE(w.stubs.find(r1)->local_reach);
-  EXPECT_FALSE(w.stubs.find(r2)->local_reach);
+  const auto res = w.gc();
+  EXPECT_EQ(res.stubs_deleted, 0u);
+  EXPECT_TRUE(w.stubs.contains(r1));
+  EXPECT_TRUE(w.stubs.contains(r2));
 }
 
-TEST(Lgc, SharedStubLocalReachIsAnyHolder) {
+TEST(Lgc, SharedStubDiesWithItsLastHolder) {
   World w;
   const ObjectSeq a = w.heap.allocate();  // root-reachable holder
   const ObjectSeq s = w.heap.allocate();  // scion-kept holder
   w.heap.add_root(a);
-  w.scions.ensure(make_ref_id(9, 9), 9, s, 0);
+  const RefId scion = make_ref_id(9, 9);
+  w.scions.ensure(scion, 9, s, 0);
   const RefId r = make_ref_id(0, 1);
-  w.stubs.ensure(r, ObjectId{1, 1}, 0);
+  w.stubs.ensure(r, ObjectId{1, 1});
   w.heap.add_remote_field(a, r);
   w.heap.add_remote_field(s, r);
 
-  w.gc();
-  EXPECT_TRUE(w.stubs.find(r)->local_reach);
-  EXPECT_EQ(w.stubs.find(r)->holders, 2u);
+  w.heap.remove_root(a);
+  auto res = w.gc();
+  EXPECT_EQ(res.objects_reclaimed, 1u);
+  EXPECT_EQ(res.stubs_deleted, 0u);
+  EXPECT_TRUE(w.stubs.contains(r)) << "the scion-kept holder still holds it";
+
+  w.scions.erase(scion);
+  res = w.gc();
+  EXPECT_EQ(res.objects_reclaimed, 1u);
+  EXPECT_EQ(res.stubs_deleted, 1u);
+  EXPECT_FALSE(w.stubs.contains(r)) << "its last holder died in this LGC";
 }
 
 TEST(Lgc, ScionTargetRootReachableFlag) {
@@ -146,20 +156,20 @@ TEST(Lgc, ScionTargetRootReachableFlag) {
   EXPECT_FALSE(w.scions.find(rb)->target_root_reachable);
 }
 
-TEST(Lgc, HolderCountsRecomputed) {
+TEST(Lgc, StubHeldByLiveAndDeadObjectSurvives) {
   World w;
   const ObjectSeq a = w.heap.allocate();
   const ObjectSeq b = w.heap.allocate();  // dies
   w.heap.add_root(a);
   const RefId r = make_ref_id(0, 1);
-  w.stubs.ensure(r, ObjectId{1, 1}, 0);
-  // Corrupt the incremental count on purpose; the LGC must fix it.
-  w.stubs.find(r)->holders = 99;
+  w.stubs.ensure(r, ObjectId{1, 1});
   w.heap.add_remote_field(a, r);
   w.heap.add_remote_field(b, r);
 
-  w.gc();
-  EXPECT_EQ(w.stubs.find(r)->holders, 1u);
+  const auto res = w.gc();
+  EXPECT_EQ(res.objects_reclaimed, 1u);
+  EXPECT_EQ(res.stubs_deleted, 0u);
+  EXPECT_TRUE(w.stubs.contains(r));
 }
 
 TEST(Lgc, ReachFromHelper) {
@@ -179,8 +189,8 @@ TEST(Lgc, ReachFromHelper) {
 TEST(Lgc, EmptyHeapIsFine) {
   World w;
   const auto res = w.gc();
-  EXPECT_EQ(res.objects_before, 0u);
   EXPECT_EQ(res.objects_reclaimed, 0u);
+  EXPECT_EQ(res.stubs_deleted, 0u);
 }
 
 }  // namespace

@@ -6,9 +6,9 @@
 // adopted objects with incarnation-partitioned seqs far beyond the dense
 // range, heap copies and capture → restore round trips — and checks every
 // LGC against the oracle computed on the state just before it: the reclaimed
-// set, the survivors' fields, stub holders and deletions, Local.Reach and
-// target_root_reachable. Sweeps free slots that later allocations reuse, so
-// stale cached slots are exercised too.
+// set, the survivors' fields, the surviving stubs and target_root_reachable.
+// Sweeps free slots that later allocations reuse, so stale cached slots are
+// exercised too.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -91,7 +91,7 @@ class Driver {
         const ObjectSeq from = any_object();
         const RefId ref = any_ref();
         if (!h.exists(from)) break;
-        if (rng_.chance(0.8)) w_.stubs.ensure(ref, ObjectId{ref_id_creator(ref), 1}, 0);
+        if (rng_.chance(0.8)) w_.stubs.ensure(ref, ObjectId{ref_id_creator(ref), 1});
         h.add_remote_field(from, ref);
         break;
       }
@@ -124,7 +124,7 @@ class Driver {
       case 10: {
         const RefId ref = any_ref();
         if (rng_.chance(0.5)) {
-          w_.stubs.ensure(ref, ObjectId{ref_id_creator(ref), 1}, 0);
+          w_.stubs.ensure(ref, ObjectId{ref_id_creator(ref), 1});
         } else if (rng_.chance(0.5)) {
           w_.pinned.insert(ref);
         } else {

@@ -13,10 +13,10 @@ constexpr SimTime kGrace = 1000;
 
 TEST(ReferenceListing, BuildAllGroupsStubsByContact) {
   StubTable stubs;
-  stubs.ensure(make_ref_id(0, 3), ObjectId{1, 30}, 0);
-  stubs.ensure(make_ref_id(0, 1), ObjectId{1, 10}, 0);
-  stubs.ensure(make_ref_id(0, 2), ObjectId{2, 20}, 0);
-  stubs.ensure(make_ref_id(0, 4), ObjectId{4, 40}, 0);
+  stubs.ensure(make_ref_id(0, 3), ObjectId{1, 30});
+  stubs.ensure(make_ref_id(0, 1), ObjectId{1, 10});
+  stubs.ensure(make_ref_id(0, 2), ObjectId{2, 20});
+  stubs.ensure(make_ref_id(0, 4), ObjectId{4, 40});
 
   const auto msgs = build_all_new_set_stubs(stubs, {1, 2, 3});
   ASSERT_EQ(msgs.size(), 3u);
@@ -132,36 +132,42 @@ TEST(ReferenceListing, ExportSeqPerHolder) {
   EXPECT_TRUE(scions.accept_export_seq(1, 6));
 }
 
-TEST(ScionTable, RefsFromHolder) {
+TEST(ScionTable, DropHolderErasesItsScionsAndWatermark) {
   ScionTable scions;
   scions.ensure(make_ref_id(1, 1), 1, 10, 0);
   scions.ensure(make_ref_id(1, 2), 1, 11, 0);
   scions.ensure(make_ref_id(2, 1), 2, 12, 0);
-  EXPECT_EQ(scions.refs_from_holder(1).size(), 2u);
-  EXPECT_EQ(scions.refs_from_holder(2).size(), 1u);
-  EXPECT_TRUE(scions.refs_from_holder(9).empty());
+  ASSERT_TRUE(scions.accept_export_seq(1, 7));
+  ASSERT_TRUE(scions.accept_export_seq(2, 7));
+
+  EXPECT_EQ(scions.drop_holder(1), 2u);
+  EXPECT_EQ(scions.size(), 1u);
+  EXPECT_TRUE(scions.contains(make_ref_id(2, 1)));
+  EXPECT_TRUE(scions.accept_export_seq(1, 1)) << "holder 1's watermark forgotten";
+  EXPECT_FALSE(scions.accept_export_seq(2, 1)) << "holder 2's watermark kept";
+  EXPECT_EQ(scions.drop_holder(9), 0u);
 }
 
 TEST(StubTable, EnsureIsIdempotent) {
   StubTable stubs;
-  auto& a = stubs.ensure(make_ref_id(0, 1), ObjectId{1, 1}, 5);
+  auto& a = stubs.ensure(make_ref_id(0, 1), ObjectId{1, 1});
   a.ic = 42;
-  auto& b = stubs.ensure(make_ref_id(0, 1), ObjectId{1, 1}, 9);
+  auto& b = stubs.ensure(make_ref_id(0, 1), ObjectId{1, 1});
   EXPECT_EQ(&a, &b);
   EXPECT_EQ(b.ic, 42u);
-  EXPECT_EQ(b.created_at, 5u);
+  EXPECT_EQ(stubs.ref_at(b.slot), make_ref_id(0, 1));
 }
 
 TEST(StubTable, ListingVersionTracksInsertAndErase) {
   StubTable stubs;
   const RefId r1 = make_ref_id(0, 1);
   EXPECT_EQ(stubs.listing_version(1), 0u);
-  stubs.ensure(r1, ObjectId{1, 10}, 0);
+  stubs.ensure(r1, ObjectId{1, 10});
   const std::uint64_t v1 = stubs.listing_version(1);
   EXPECT_GT(v1, 0u) << "insert advances";
 
-  stubs.ensure(r1, ObjectId{1, 10}, 5);
-  stubs.ensure(make_ref_id(0, 2), ObjectId{2, 20}, 0);
+  stubs.ensure(r1, ObjectId{1, 10});
+  stubs.ensure(make_ref_id(0, 2), ObjectId{2, 20});
   stubs.erase(make_ref_id(0, 9));
   EXPECT_EQ(stubs.listing_version(1), v1)
       << "re-ensure of a present ref, another owner's stub and an absent erase";
@@ -169,12 +175,33 @@ TEST(StubTable, ListingVersionTracksInsertAndErase) {
   stubs.erase(r1);
   const std::uint64_t v2 = stubs.listing_version(1);
   EXPECT_GT(v2, v1) << "erase advances";
-  stubs.ensure(r1, ObjectId{1, 10}, 6);
+  stubs.ensure(r1, ObjectId{1, 10});
   EXPECT_GT(stubs.listing_version(1), v2) << "the same listing again is still a new version";
 
   const StubTable copy = stubs;
   EXPECT_EQ(copy.listing_version(1), stubs.listing_version(1));
   EXPECT_EQ(copy.listing_version(2), stubs.listing_version(2));
+}
+
+// The owners with a listing version are the NewSetStubs contacts: every
+// owner a stub ever pointed at, until it is forgotten.
+TEST(StubTable, ListingVersionsKeyEveryOwnerUntilForgotten) {
+  StubTable stubs;
+  const auto owners = [&] {
+    std::vector<ProcessId> out;
+    for (const auto& [owner, version] : stubs.listing_versions()) out.push_back(owner);
+    return out;
+  };
+  stubs.ensure(make_ref_id(0, 1), ObjectId{2, 10});
+  stubs.ensure(make_ref_id(0, 2), ObjectId{1, 10});
+  stubs.erase(make_ref_id(0, 1));
+  EXPECT_EQ(owners(), (std::vector<ProcessId>{1, 2})) << "an owner with no stub left stays";
+
+  stubs.forget_owner(2);
+  EXPECT_EQ(owners(), std::vector<ProcessId>{1});
+  EXPECT_EQ(stubs.listing_version(2), 0u);
+  stubs.ensure(make_ref_id(0, 3), ObjectId{2, 11});
+  EXPECT_EQ(owners(), (std::vector<ProcessId>{1, 2}));
 }
 
 }  // namespace
