@@ -1,9 +1,10 @@
 // libFuzzer harness over the TCP frame decoder — the first parser any byte
 // from the network hits. Contract under fuzzing: arbitrary input either
-// yields well-formed frames (which must re-encode and, for data frames,
-// behave like any payload handed to the message layer) or poisons the
-// decoder with a reported error. Crashes, hangs, unbounded allocations and
-// sanitizer reports are bugs. After poisoning, next() must stay silent.
+// yields well-formed frames (which must re-encode, and whose payloads are
+// decoded as Process::deliver decodes them, batch items included) or
+// poisons the decoder with a reported error. Crashes, hangs, unbounded
+// allocations and sanitizer reports are bugs. After poisoning, next() must
+// stay silent.
 //
 // The input's first byte selects a chunking pattern so the fuzzer exercises
 // the incremental-feed state machine (header split across recv() calls,
@@ -13,6 +14,21 @@
 #include <span>
 
 #include "src/net/frame.h"
+
+namespace {
+
+void decode_payload(std::span<const std::byte> payload) {
+  try {
+    const adgc::MessagePayload m = adgc::decode_message(payload);
+    if (const auto* batch = std::get_if<adgc::BatchMsg>(&m)) {
+      (void)adgc::decode_batch_items(*batch);
+    }
+  } catch (const adgc::DecodeError&) {
+    // Dropped by the receiver, as an undecodable message or poisoned batch.
+  }
+}
+
+}  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size) {
   if (size == 0) return 0;
@@ -29,6 +45,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
       (void)adgc::peek_message_tag(frame->payload);
       (void)adgc::is_cdm_payload(frame->payload);
       (void)adgc::is_new_set_stubs_payload(frame->payload);
+      if (frame->kind != adgc::FrameKind::kHello) decode_payload(frame->payload);
     }
     if (dec.failed()) {
       // Poisoned: the error must be described, and the decoder must stay

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -82,6 +83,30 @@ int main(int argc, char** argv) {
   cdm.source = {{make_ref_id(1, 1), 0}, {make_ref_id(3, 3), 1}};
   cdm.target = {{make_ref_id(2, 2), 0}};
   write_file(dir, "cdm", encode_message(cdm));
+
+  // Listings are written as runs of consecutive refs: one long run (a
+  // process's standing references), and many short ones.
+  NewSetStubsMsg long_run;
+  long_run.export_seq = 6;
+  for (std::uint64_t i = 0; i < 20'000; ++i) long_run.live.push_back(make_ref_id(0, 1 + i));
+  write_file(dir, "new_set_stubs_long_run", encode_message(long_run));
+  NewSetStubsMsg many_runs;
+  many_runs.export_seq = 7;
+  for (std::uint64_t i = 0; i < 400; ++i) {
+    many_runs.live.push_back(make_ref_id(0, 1 + 3 * i));
+    if (i % 4 == 0) many_runs.live.push_back(make_ref_id(0, 2 + 3 * i));
+  }
+  write_file(dir, "new_set_stubs_many_runs", encode_message(many_runs));
+
+  CdmMsg large_cdm = cdm;
+  large_cdm.hops = 17;
+  large_cdm.source.clear();
+  large_cdm.target.clear();
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    large_cdm.source.push_back({make_ref_id(1 + i / 16, 2 * i), i});
+    large_cdm.target.push_back({make_ref_id(5, 1 + i * i), i % 4});
+  }
+  write_file(dir, "cdm_large", encode_message(large_cdm));
 
   SnapshotData snap;
   snap.pid = 1;
@@ -197,6 +222,15 @@ int main(int argc, char** argv) {
     BatchMsg nested;
     nested.items.push_back(encode_message(one));
     write_file(dir, "batch_nested", encode_message(nested));
+
+    // A few kilobytes that decode past the per-frame budget: every item is
+    // a listing of kMaxDecodedRefs refs, legal alone, one run each.
+    NewSetStubsMsg full;
+    full.live.resize(kMaxDecodedRefs);
+    std::iota(full.live.begin(), full.live.end(), make_ref_id(0, 1));
+    BatchMsg over_budget;
+    over_budget.items.assign(200, encode_message(full));
+    write_file(dir, "batch_over_budget", encode_message(over_budget));
 
     Envelope env;
     env.src = 1;

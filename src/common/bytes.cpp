@@ -47,6 +47,33 @@ std::uint64_t ByteReader::u64() {
   return v;
 }
 
+std::uint64_t ByteReader::varint() {
+  std::uint64_t v = 0;
+  for (unsigned shift = 0;; shift += 7) {
+    const std::uint8_t b = u8();
+    if (shift == 63 && b > 1) {  // the tenth byte holds bit 63 alone
+      throw DecodeError(b & 0x80 ? "varint longer than 10 bytes" : "varint overflows u64");
+    }
+    v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
+    if (b < 0x80) {
+      if (b == 0 && shift > 0) throw DecodeError("varint not in shortest form");
+      return v;
+    }
+  }
+}
+
+std::uint32_t ByteReader::varint_u32() {
+  const std::uint64_t v = varint();
+  if (v > UINT32_MAX) throw DecodeError("varint overflows u32");
+  return static_cast<std::uint32_t>(v);
+}
+
+std::uint64_t ByteReader::varint_count(std::size_t min_bytes) {
+  const std::uint64_t n = varint();
+  if (n > remaining() / min_bytes) throw DecodeError("element count exceeds the bytes left");
+  return n;
+}
+
 std::string ByteReader::str() {
   const std::uint32_t n = u32();
   if (n > kMaxLen) throw DecodeError("string length prefix too large");

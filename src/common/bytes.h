@@ -1,6 +1,10 @@
 // Little-endian binary buffer reader/writer used by the wire protocol and
 // by the binary snapshot serializer.
 //
+// Two integer encodings: fixed width (u8..u64), which the snapshot and trace
+// formats use, and unsigned LEB128 varints, which the wire codec uses for the
+// DGC reference lists and CDM fields (src/net/message.cpp).
+//
 // The writer appends into a growable std::vector<std::byte>; the reader is a
 // non-owning view with bounds checking. Decoding failures throw
 // adgc::DecodeError: the simulated network may corrupt nothing, but tests
@@ -27,6 +31,16 @@ class DecodeError : public std::runtime_error {
   explicit DecodeError(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// The longest LEB128 encoding of a u64: ten groups of seven bits.
+inline constexpr std::size_t kMaxVarintBytes = 10;
+
+/// Bytes ByteWriter::varint appends for `v`.
+constexpr std::size_t varint_size(std::uint64_t v) {
+  std::size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
+
 /// Append-only little-endian encoder.
 class ByteWriter {
  public:
@@ -44,6 +58,16 @@ class ByteWriter {
   void u32(std::uint32_t v) { raw(&v, sizeof v); }
   void u64(std::uint64_t v) { raw(&v, sizeof v); }
   void boolean(bool v) { u8(v ? 1 : 0); }
+
+  /// Unsigned LEB128: seven bits a byte, low group first, the high bit set
+  /// on every byte but the last; always the shortest form.
+  void varint(std::uint64_t v) {
+    std::uint8_t out[kMaxVarintBytes];
+    std::size_t n = 0;
+    for (; v >= 0x80; v >>= 7) out[n++] = static_cast<std::uint8_t>(v | 0x80);
+    out[n++] = static_cast<std::uint8_t>(v);
+    raw(out, n);
+  }
 
   void object_id(ObjectId id) {
     u32(id.owner);
@@ -99,6 +123,16 @@ class ByteReader {
   std::uint32_t u32();
   std::uint64_t u64();
   bool boolean() { return u8() != 0; }
+
+  /// Reads a ByteWriter::varint. Throws DecodeError on a truncated varint,
+  /// one longer than kMaxVarintBytes, one whose value overflows 64 bits, and
+  /// one not in its shortest form, so every value has exactly one encoding.
+  std::uint64_t varint();
+  /// A varint that must fit 32 bits.
+  std::uint32_t varint_u32();
+  /// A varint element count, rejected when the unread bytes cannot hold
+  /// that many elements of at least `min_bytes` each.
+  std::uint64_t varint_count(std::size_t min_bytes);
 
   ObjectId object_id() {
     ObjectId id;

@@ -15,6 +15,4 @@ std::string describe(const CdmMsg& msg) {
   return os.str();
 }
 
-std::size_t encoded_size(const CdmMsg& msg) { return encode_message(msg).size(); }
-
 }  // namespace adgc

@@ -1,4 +1,4 @@
-// CDM helpers: pretty-printing and size accounting for metrics/benches.
+// CDM helper: pretty-printing. Its wire size is encoded_size (message.h).
 #pragma once
 
 #include <string>
@@ -9,8 +9,5 @@ namespace adgc {
 
 /// Human-readable rendering of a CDM (logging, test diagnostics).
 std::string describe(const CdmMsg& msg);
-
-/// Encoded size in bytes (what the wire pays for this CDM).
-std::size_t encoded_size(const CdmMsg& msg);
 
 }  // namespace adgc

@@ -1,6 +1,7 @@
 #include "src/dgc/reference_listing.h"
 
-#include <unordered_set>
+#include <algorithm>
+#include <span>
 #include <vector>
 
 namespace adgc {
@@ -24,11 +25,22 @@ ApplyNssResult apply_new_set_stubs(ScionTable& scions, ProcessId holder,
     res.stale = true;
     return res;
   }
-  const std::unordered_set<RefId> live(msg.live.begin(), msg.live.end());
+  // The scion table iterates in RefId order and a decoded listing is
+  // ascending, so the two are walked in step; a listing built out of order
+  // is sorted first.
+  std::span<const RefId> live = msg.live;
+  std::vector<RefId> sorted;
+  if (!std::ranges::is_sorted(live)) {
+    sorted.assign(live.begin(), live.end());
+    std::ranges::sort(sorted);
+    live = sorted;
+  }
+  auto next = live.begin();
   std::vector<RefId> doomed;
   for (auto& [ref, scion] : scions) {
     if (scion.holder != holder) continue;
-    if (live.contains(ref)) {
+    while (next != live.end() && *next < ref) ++next;
+    if (next != live.end() && *next == ref) {
       if (!scion.confirmed) {
         scion.confirmed = true;
         ++res.confirmed;

@@ -37,7 +37,8 @@ struct ApplyNssResult {
   std::size_t confirmed = 0;   // pending scions confirmed by this message
 };
 
-/// Applies a NewSetStubs from `holder` to the local scion table.
+/// Applies a NewSetStubs from `holder` to the local scion table, walking the
+/// table once in step with the ascending listing: O(scions + refs).
 ApplyNssResult apply_new_set_stubs(ScionTable& scions, ProcessId holder,
                                    const NewSetStubsMsg& msg, SimTime now,
                                    SimTime pending_grace);

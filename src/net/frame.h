@@ -41,12 +41,16 @@
 namespace adgc {
 
 inline constexpr std::uint32_t kFrameMagic = 0x43474441u;  // "ADGC"
-inline constexpr std::uint16_t kFrameVersion = 1;
+/// 2: NewSetStubs listings as runs and CDMs as varints (message.cpp). A
+/// peer speaking another version has its connection dropped.
+inline constexpr std::uint16_t kFrameVersion = 2;
 inline constexpr std::size_t kFrameHeaderSize = 32;
 /// Hard bound on a frame payload. The largest legitimate messages (CDMs over
 /// huge algebras, invocations with big marshalled arguments) stay far below
 /// this; anything larger is framing corruption or an attack.
 inline constexpr std::uint32_t kMaxFramePayload = 64u << 20;  // 64 MiB
+static_assert(kMaxDecodedRefs <= kMaxFramePayload / sizeof(RefId),
+              "a frame may not decode to more refs than fixed-width refs could fill");
 
 /// Sentinel destination incarnation: "sender does not know yet". Receivers
 /// accept such frames against any local incarnation (the payload protocols

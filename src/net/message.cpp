@@ -1,5 +1,11 @@
 #include "src/net/message.h"
 
+#include <algorithm>
+#include <functional>
+#include <numeric>
+#include <optional>
+#include <stdexcept>
+
 namespace adgc {
 
 namespace {
@@ -8,38 +14,162 @@ namespace {
 // can peek them; this alias keeps the codec bodies unchanged.
 using Tag = MessageTag;
 
-void put_refs(ByteWriter& w, const std::vector<RefId>& v) {
-  w.u32(static_cast<std::uint32_t>(v.size()));
-  for (RefId r : v) w.u64(r);
-}
+constexpr std::uint64_t kMaxU64 = ~std::uint64_t{0};
 
-std::vector<RefId> get_refs(ByteReader& r) {
-  const std::uint32_t n = r.u32();
-  if (n > r.remaining() / 8) throw DecodeError("ref vector length too large");
-  std::vector<RefId> v;
-  v.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) v.push_back(r.u64());
-  return v;
-}
+/// What one frame may still decode: see kMaxDecodedRefs.
+class RefBudget {
+ public:
+  void take(std::uint64_t n) {
+    if (n > left_) throw DecodeError(kOverdrawn);
+    left_ -= n;
+  }
+  /// Charges the run first..last, whose length may not fit a u64.
+  void take_run(RefId first, RefId last) {
+    if (last - first >= left_) throw DecodeError(kOverdrawn);
+    left_ -= last - first + 1;
+  }
 
-void put_elems(ByteWriter& w, const std::vector<AlgebraElem>& v) {
-  w.u32(static_cast<std::uint32_t>(v.size()));
-  for (const auto& e : v) {
-    w.u64(e.ref);
-    w.u64(e.ic);
+ private:
+  static constexpr const char* kOverdrawn = "frame decodes to more refs than its budget";
+
+  std::uint64_t left_ = kMaxDecodedRefs;
+};
+
+// A NewSetStubs listing is written as its maximal runs of consecutive
+// RefIds: a varint run count, then per run a varint gap and a varint length
+// minus one. The first run's gap is its first ref; a later run's is how far
+// its first ref lies past the previous run's last ref + 2 (maximal runs
+// leave at least one ref between them). Any decoded listing is therefore
+// strictly ascending, and each listing has exactly one encoding.
+
+/// Calls fn(first, last) for each maximal run of the ascending `refs`.
+template <typename Fn>
+void for_each_run(const std::vector<RefId>& refs, Fn&& fn) {
+  for (std::size_t i = 0; i < refs.size();) {
+    std::size_t j = i;
+    while (j + 1 < refs.size() && refs[j + 1] == refs[j] + 1) ++j;
+    fn(refs[i], refs[j]);
+    i = j + 1;
   }
 }
 
-std::vector<AlgebraElem> get_elems(ByteReader& r) {
-  const std::uint32_t n = r.u32();
-  if (n > r.remaining() / 16) throw DecodeError("algebra vector length too large");
-  std::vector<AlgebraElem> v;
-  v.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    AlgebraElem e;
-    e.ref = r.u64();
-    e.ic = r.u64();
-    v.push_back(e);
+void put_runs(ByteWriter& w, const std::vector<RefId>& refs) {
+  std::uint64_t runs = 0;
+  for_each_run(refs, [&](RefId, RefId) { ++runs; });
+  w.varint(runs);
+  std::optional<RefId> prev;
+  for_each_run(refs, [&](RefId first, RefId last) {
+    w.varint(prev ? first - *prev - 2 : first);
+    w.varint(last - first);
+    prev = last;
+  });
+}
+
+void put_listing(ByteWriter& w, const std::vector<RefId>& live) {
+  if (std::ranges::adjacent_find(live, std::greater_equal<>{}) == live.end()) {
+    put_runs(w, live);  // production listings come in stub-table order
+    return;
+  }
+  std::vector<RefId> set = live;
+  std::ranges::sort(set);
+  set.erase(std::unique(set.begin(), set.end()), set.end());
+  put_runs(w, set);
+}
+
+/// Reads `runs` runs, checking each against u64 overflow, and calls
+/// fn(first, last) for each.
+template <typename Fn>
+void read_runs(ByteReader& r, std::uint64_t runs, Fn&& fn) {
+  std::optional<RefId> prev;
+  for (std::uint64_t i = 0; i < runs; ++i) {
+    const std::uint64_t gap = r.varint();
+    if (prev && (*prev > kMaxU64 - 2 || gap > kMaxU64 - 2 - *prev)) {
+      throw DecodeError("listing gap overflows u64");
+    }
+    const RefId first = prev ? *prev + 2 + gap : gap;
+    const std::uint64_t extra = r.varint();
+    if (extra > kMaxU64 - first) throw DecodeError("listing run overflows u64");
+    prev = first + extra;
+    fn(first, *prev);
+  }
+}
+
+std::vector<RefId> get_listing(ByteReader& r, RefBudget& budget) {
+  const std::uint64_t runs = r.varint_count(2);  // a run is two varints
+  // The first pass validates the runs and charges the budget, so the vector
+  // is sized once, never past the budget; the second expands them.
+  ByteReader scan = r;
+  std::uint64_t total = 0;
+  read_runs(scan, runs, [&](RefId first, RefId last) {
+    budget.take_run(first, last);
+    total += last - first + 1;
+  });
+  std::vector<RefId> live(total);
+  auto out = live.begin();
+  read_runs(r, runs, [&](RefId first, RefId last) {
+    const auto n = static_cast<std::ptrdiff_t>(last - first + 1);
+    std::iota(out, out + n, first);
+    out += n;
+  });
+  return live;
+}
+
+// A CDM algebra set is a varint count, then per element the varint gap from
+// the previous element's ref + 1 (the first element: its ref) and the varint
+// IC; decoded sets are strictly ascending by construction.
+
+/// Counts what a ByteWriter would append, writing nothing.
+struct SizeCounter {
+  std::size_t n = 0;
+  void u8(std::uint8_t) { ++n; }
+  void varint(std::uint64_t v) { n += varint_size(v); }
+};
+
+void check_ascending(const std::vector<AlgebraElem>& v) {
+  // Two elements of one ref are a conflict, not a duplicate to drop.
+  const auto not_above = [](const AlgebraElem& a, const AlgebraElem& b) {
+    return a.ref >= b.ref;
+  };
+  if (std::ranges::adjacent_find(v, not_above) != v.end()) {
+    throw std::invalid_argument("CDM algebra set not strictly ascending by ref");
+  }
+}
+
+template <typename Sink>
+void put_elems(Sink& w, const std::vector<AlgebraElem>& v) {
+  w.varint(v.size());
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    w.varint(i == 0 ? v[i].ref : v[i].ref - v[i - 1].ref - 1);
+    w.varint(v[i].ic);
+  }
+}
+
+template <typename Sink>
+void put_cdm(Sink& w, const CdmMsg& m) {
+  check_ascending(m.source);  // before anything is written
+  check_ascending(m.target);
+  w.u8(static_cast<std::uint8_t>(Tag::kCdm));
+  w.varint(m.detection.initiator);
+  w.varint(m.detection.seq);
+  w.varint(m.candidate);
+  w.varint(m.via);
+  w.varint(m.via_ic);
+  w.varint(m.hops);
+  put_elems(w, m.source);
+  put_elems(w, m.target);
+}
+
+std::vector<AlgebraElem> get_elems(ByteReader& r, RefBudget& budget) {
+  const std::uint64_t n = r.varint_count(2);  // an element is two varints
+  budget.take(2 * n);
+  std::vector<AlgebraElem> v(n);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const std::uint64_t gap = r.varint();
+    if (i > 0 && (v[i - 1].ref == kMaxU64 || gap > kMaxU64 - 1 - v[i - 1].ref)) {
+      throw DecodeError("algebra gap overflows u64");
+    }
+    v[i].ref = i > 0 ? v[i - 1].ref + 1 + gap : gap;
+    v[i].ic = r.varint();
   }
   return v;
 }
@@ -74,7 +204,7 @@ struct Encoder {
   void operator()(const NewSetStubsMsg& m) {
     w.u8(static_cast<std::uint8_t>(Tag::kNewSetStubs));
     w.u64(m.export_seq);
-    put_refs(w, m.live);
+    put_listing(w, m.live);
   }
 
   void operator()(const AddScionMsg& m) {
@@ -91,16 +221,7 @@ struct Encoder {
     w.u64(m.handshake);
   }
 
-  void operator()(const CdmMsg& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kCdm));
-    w.detection_id(m.detection);
-    w.u64(m.candidate);
-    w.u64(m.via);
-    w.u64(m.via_ic);
-    w.u32(m.hops);
-    put_elems(w, m.source);
-    put_elems(w, m.target);
-  }
+  void operator()(const CdmMsg& m) { put_cdm(w, m); }
 
   void operator()(const BatchMsg& m) {
     w.u8(static_cast<std::uint8_t>(Tag::kBatch));
@@ -133,7 +254,15 @@ void encode_message_into(ByteWriter& w, const MessagePayload& m) {
   std::visit(Encoder{w}, m);
 }
 
-MessagePayload decode_message(std::span<const std::byte> bytes) {
+std::size_t encoded_size(const CdmMsg& msg) {
+  SizeCounter c;
+  put_cdm(c, msg);
+  return c.n;
+}
+
+namespace {
+
+MessagePayload decode_one(std::span<const std::byte> bytes, RefBudget& budget) {
   ByteReader r(bytes);
   const auto tag = static_cast<Tag>(r.u8());
   switch (tag) {
@@ -171,7 +300,7 @@ MessagePayload decode_message(std::span<const std::byte> bytes) {
     case Tag::kNewSetStubs: {
       NewSetStubsMsg m;
       m.export_seq = r.u64();
-      m.live = get_refs(r);
+      m.live = get_listing(r, budget);
       r.expect_done();
       return m;
     }
@@ -193,13 +322,14 @@ MessagePayload decode_message(std::span<const std::byte> bytes) {
     }
     case Tag::kCdm: {
       CdmMsg m;
-      m.detection = r.detection_id();
-      m.candidate = r.u64();
-      m.via = r.u64();
-      m.via_ic = r.u64();
-      m.hops = r.u32();
-      m.source = get_elems(r);
-      m.target = get_elems(r);
+      m.detection.initiator = r.varint_u32();
+      m.detection.seq = r.varint();
+      m.candidate = r.varint();
+      m.via = r.varint();
+      m.via_ic = r.varint();
+      m.hops = r.varint_u32();
+      m.source = get_elems(r, budget);
+      m.target = get_elems(r, budget);
       r.expect_done();
       return m;
     }
@@ -238,11 +368,19 @@ MessagePayload decode_message(std::span<const std::byte> bytes) {
   throw DecodeError("unknown message tag");
 }
 
+}  // namespace
+
+MessagePayload decode_message(std::span<const std::byte> bytes) {
+  RefBudget budget;
+  return decode_one(bytes, budget);
+}
+
 std::vector<MessagePayload> decode_batch_items(const BatchMsg& batch) {
+  RefBudget budget;  // one frame: every item draws on it
   std::vector<MessagePayload> out;
   out.reserve(batch.items.size());
   for (const auto& item : batch.items) {
-    MessagePayload m = decode_message(item);
+    MessagePayload m = decode_one(item, budget);
     if (std::holds_alternative<BatchMsg>(m)) throw DecodeError("nested batch");
     out.push_back(std::move(m));
   }

@@ -63,7 +63,9 @@ struct ReplyMsg {
 
 /// Reference-listing message: the complete set of live stubs the sender
 /// holds toward the receiver, stamped with the sender's export sequence so
-/// references exported after the sender's LGC ran are not collected.
+/// references exported after the sender's LGC ran are not collected. On the
+/// wire `live` is its maximal runs of consecutive RefIds, so it decodes
+/// strictly ascending; a `live` built out of order is sent as its sorted set.
 struct NewSetStubsMsg {
   std::uint64_t export_seq = 0;
   std::vector<RefId> live;
@@ -107,8 +109,10 @@ struct CdmMsg {
   RefId via = kNoRef;
   std::uint64_t via_ic = 0;   // the stub's IC in the sender's snapshot
   std::uint32_t hops = 0;
-  std::vector<AlgebraElem> source;  // dependencies (scions), sorted by ref
-  std::vector<AlgebraElem> target;  // traversed stubs, sorted by ref
+  /// Strictly ascending by ref: the wire carries the gaps between refs, and
+  /// encoding a set that is not throws std::invalid_argument.
+  std::vector<AlgebraElem> source;  // dependencies (scions)
+  std::vector<AlgebraElem> target;  // traversed stubs
 
   friend bool operator==(const CdmMsg&, const CdmMsg&) = default;
 };
@@ -197,8 +201,19 @@ struct Envelope {
   std::vector<std::byte> bytes;  // encoded MessagePayload
 };
 
+/// Refs the decoder may produce from one frame: a data frame's message, or
+/// every item of a batch together (a CDM element counts two, for its ref and
+/// its IC). Run-coded listings expand when decoded; the budget is charged
+/// before any vector grows, so one frame never decodes to more reference
+/// data than a frame of fixed-width refs could carry (kMaxFramePayload /
+/// sizeof(RefId), checked in frame.h). Past it, decoding throws DecodeError.
+inline constexpr std::uint64_t kMaxDecodedRefs = std::uint64_t{8} << 20;
+
 /// Encodes a payload (type tag + body).
 std::vector<std::byte> encode_message(const MessagePayload& m);
+
+/// Bytes encode_message(msg) produces, counted without writing them.
+std::size_t encoded_size(const CdmMsg& msg);
 
 /// Appends the encoding of `m` to an existing writer. The batch encoder uses
 /// this to serialize message bodies directly into one contiguous arena
@@ -208,10 +223,11 @@ void encode_message_into(ByteWriter& w, const MessagePayload& m);
 /// Decodes; throws DecodeError on malformed input.
 MessagePayload decode_message(std::span<const std::byte> bytes);
 
-/// Decodes every item of a batch. Throws DecodeError if ANY item is
-/// malformed or is itself a batch — the receiver must then drop the whole
-/// batch (batch-level poisoning: a batch is applied as a unit or not at
-/// all, so a corrupt slice can never apply a prefix of its messages).
+/// Decodes every item of a batch under one kMaxDecodedRefs budget. Throws
+/// DecodeError if ANY item is malformed, is itself a batch or overdraws the
+/// budget — the receiver must then drop the whole batch (batch-level
+/// poisoning: a batch is applied as a unit or not at all, so a corrupt slice
+/// can never apply a prefix of its messages).
 std::vector<MessagePayload> decode_batch_items(const BatchMsg& batch);
 
 /// Short human-readable tag for logging ("Invoke", "Cdm", ...).

@@ -614,10 +614,12 @@ void Process::run_lgc() {
   // owner restart restored, say) could expire as an orphan.
   //
   // A large listing coalesces: when the previous run sent this contact a
-  // listing longer than one batch holds, a change waits one more run. Such
-  // a listing needs a frame of its own and costs O(refs) to build, encode,
-  // decode and apply; a NewSetStubs is full-state and idempotent, so the
-  // wait only postpones deletions and confirmations by one period.
+  // listing of more than batch_max_bytes / sizeof(RefId) refs, a change
+  // waits one more run. The rule counts refs, not encoded bytes (runs of
+  // consecutive refs encode to a few bytes): a listing still costs O(refs)
+  // to build, decode and apply, and each one sent is a control message. A
+  // NewSetStubs is full-state and idempotent, so the wait only postpones
+  // deletions and confirmations by one period.
   const std::size_t large = cfg_.batch_max_bytes / sizeof(RefId);
   std::set<ProcessId> due;
   for (const auto& [dst, version] : stubs_.listing_versions()) {

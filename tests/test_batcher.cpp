@@ -34,10 +34,12 @@ std::string snap_dir(const std::string& tag) {
   return dir.string();
 }
 
+/// A listing of `refs` isolated refs 2^20 apart: each costs four bytes on
+/// the wire, where a run of consecutive refs would cost two in all.
 NewSetStubsMsg big_nss(std::size_t refs) {
   NewSetStubsMsg m;
   m.export_seq = 1;
-  for (std::size_t i = 0; i < refs; ++i) m.live.push_back(make_ref_id(2, i + 1));
+  for (std::size_t i = 0; i < refs; ++i) m.live.push_back(make_ref_id(2, (i + 1) << 20));
   return m;
 }
 
@@ -157,8 +159,11 @@ TEST_F(BatcherUnit, SizeThresholdFlush) {
   cfg.batch_max_bytes = 256;
   cfg.batch_max_msgs = 100;  // keep the count threshold out of the way
   // Each NSS below is ~90 bytes encoded; the third pushes past 256.
+  const std::size_t item = encode_message(MessagePayload{big_nss(20)}).size();
+  ASSERT_GT(item, 80u);
+  ASSERT_LT(item, 110u);
   for (int i = 0; i < 3; ++i) {
-    EXPECT_TRUE(batcher.offer(1, MessagePayload{big_nss(10)}));
+    EXPECT_TRUE(batcher.offer(1, MessagePayload{big_nss(20)}));
   }
   ASSERT_EQ(env.sent.size(), 1u);
   EXPECT_EQ(env.metrics().batch_flush_size.get(), 1u);

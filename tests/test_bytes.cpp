@@ -1,6 +1,8 @@
 // Unit tests for the binary buffer reader/writer.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/common/bytes.h"
 
 namespace adgc {
@@ -23,6 +25,57 @@ TEST(Bytes, RoundTripScalars) {
   EXPECT_TRUE(r.boolean());
   EXPECT_FALSE(r.boolean());
   EXPECT_TRUE(r.done());
+}
+
+TEST(Bytes, VarintRoundTripsAndSizes) {
+  const std::uint64_t top = std::uint64_t{1} << 63;
+  const std::uint64_t values[] = {0, 1, 127, 128, 16'383, 16'384, UINT32_MAX, top, ~top};
+  ByteWriter w;
+  std::size_t total = 0;
+  for (std::uint64_t v : values) {
+    const std::size_t before = w.size();
+    w.varint(v);
+    EXPECT_EQ(w.size() - before, varint_size(v)) << v;
+    total += varint_size(v);
+  }
+  EXPECT_EQ(total, 1u + 1 + 1 + 2 + 2 + 3 + 5 + 10 + 9);
+  ByteReader r(w.data());
+  for (std::uint64_t v : values) EXPECT_EQ(r.varint(), v);
+  EXPECT_TRUE(r.done());
+}
+
+TEST(Bytes, VarintRejectsMalformed) {
+  const auto read = [](const std::vector<int>& bytes) {
+    std::vector<std::byte> b;
+    for (int x : bytes) b.push_back(static_cast<std::byte>(x));
+    ByteReader r(b);
+    return r.varint();
+  };
+  EXPECT_EQ(read({0xAC, 0x02}), 300u);
+  EXPECT_THROW(read({}), DecodeError);
+  EXPECT_THROW(read({0x80}), DecodeError) << "truncated";
+  EXPECT_THROW(read({0x81, 0x00}), DecodeError) << "not shortest form";
+  // Nine 0xff bytes and a tenth of 1 are 2^64 - 1; a tenth above 1
+  // overflows, and an eleventh byte is one too many.
+  std::vector<int> ten(9, 0xff);
+  ten.push_back(0x01);
+  EXPECT_EQ(read(ten), ~std::uint64_t{0});
+  ten.back() = 0x02;
+  EXPECT_THROW(read(ten), DecodeError) << "past 2^64 - 1";
+  std::vector<int> eleven(10, 0x80);
+  eleven.push_back(0x01);
+  EXPECT_THROW(read(eleven), DecodeError) << "eleven bytes";
+
+  ByteWriter w;
+  w.varint(std::uint64_t{UINT32_MAX} + 1);
+  ByteReader r32(w.data());
+  EXPECT_THROW(r32.varint_u32(), DecodeError);
+  // A count is checked against the bytes left: 3 elements of 2 bytes need 6.
+  ByteWriter c;
+  c.varint(3);
+  c.raw("\1\2\3\4\5", 5);
+  ByteReader rc(c.data());
+  EXPECT_THROW(rc.varint_count(2), DecodeError);
 }
 
 TEST(Bytes, RoundTripCompositeIds) {

@@ -84,6 +84,16 @@ TEST_F(DetectorUnit, StartSendsCdmPerViableStub) {
   EXPECT_EQ(m.target[0].ref, T);
 }
 
+TEST_F(DetectorUnit, CdmBytesCountsEncodedSize) {
+  install({{S, 3, 7, 1, {T, T2}}},
+          {{T, 1, ObjectId{2, 1}, false, {S}}, {T2, 300, ObjectId{3, 1}, false, {S}}});
+  ASSERT_TRUE(det->start_detection(S, 0));
+  ASSERT_EQ(cap.sent.size(), 2u);
+  std::uint64_t bytes = 0;
+  for (const auto& s : cap.sent) bytes += encode_message(MessagePayload{s.msg}).size();
+  EXPECT_EQ(metrics.cdm_bytes.get(), bytes);
+}
+
 TEST_F(DetectorUnit, LocallyReachableStubTerminatesBranch) {
   install({{S, 0, 7, 1, {T, T2}}},
           {{T, 0, ObjectId{2, 1}, /*local_reach=*/true, {S}},

@@ -165,6 +165,26 @@ TEST(FrameCodec, FutureVersionRejectedGracefully) {
   EXPECT_EQ(dec.error(), FrameDecoder::Error::kBadVersion);
 }
 
+TEST(FrameCodec, VersionOneFramePoisonsTheStream) {
+  // Version 1 carried fixed-width listings and CDMs: a node still speaking
+  // it must lose the connection, never have its payloads misread.
+  const auto good = encode_frame(sample_data_frame());
+  EXPECT_EQ(good[4], std::byte{2});
+  EXPECT_EQ(good[5], std::byte{0});
+  auto old = good;
+  old[4] = std::byte{1};
+  FrameDecoder dec;
+  dec.feed(old);
+  dec.feed(good);
+  EXPECT_FALSE(dec.next().has_value());
+  EXPECT_EQ(dec.error(), FrameDecoder::Error::kBadVersion);
+  // Poisoned for good: the valid frame behind it, and any after, yield nothing.
+  EXPECT_FALSE(dec.next().has_value());
+  dec.feed(good);
+  EXPECT_FALSE(dec.next().has_value());
+  EXPECT_TRUE(dec.failed());
+}
+
 TEST(FrameCodec, UnknownKindRejected) {
   auto bytes = encode_frame(sample_data_frame());
   bytes[6] = std::byte{0x77};  // kind field

@@ -35,6 +35,15 @@ std::vector<MessagePayload> sample_messages() {
   nss.live = {make_ref_id(0, 1), make_ref_id(0, 2)};
   out.emplace_back(nss);
 
+  // A long run (one run of 10,000 refs) and many runs (isolated refs).
+  NewSetStubsMsg runs;
+  runs.export_seq = 6;
+  for (std::uint64_t i = 0; i < 10'000; ++i) runs.live.push_back(make_ref_id(1, 100 + i));
+  out.emplace_back(runs);
+  runs.live.clear();
+  for (std::uint64_t i = 0; i < 150; ++i) runs.live.push_back(make_ref_id(1, 3 * i + (i % 5)));
+  out.emplace_back(runs);
+
   AddScionMsg add;
   add.ref = make_ref_id(2, 2);
   add.target_seq = 11;
@@ -49,6 +58,16 @@ std::vector<MessagePayload> sample_messages() {
   cdm.target = {{make_ref_id(2, 2), 0}};
   out.emplace_back(cdm);
 
+  CdmMsg large = cdm;
+  large.hops = 40;
+  large.source.clear();
+  large.target.clear();
+  for (std::uint64_t i = 0; i < 120; ++i) {
+    large.source.push_back({make_ref_id(1 + i / 40, i * 7), i});
+    large.target.push_back({make_ref_id(4, i * i), i % 3});
+  }
+  out.emplace_back(large);
+
   BatchMsg batch;
   batch.items = {encode_message(MessagePayload{nss}), encode_message(MessagePayload{cdm})};
   out.emplace_back(batch);
@@ -57,6 +76,14 @@ std::vector<MessagePayload> sample_messages() {
   nack.evicted_incarnation = 3;
   out.emplace_back(nack);
   return out;
+}
+
+/// NewSetStubs and CDM encodings are canonical (ascending sets, maximal
+/// runs, shortest varints): whatever decodes re-encodes to the same bytes.
+void expect_canonical(const std::vector<std::byte>& bytes, const MessagePayload& m) {
+  if (std::holds_alternative<NewSetStubsMsg>(m) || std::holds_alternative<CdmMsg>(m)) {
+    EXPECT_EQ(encode_message(m), bytes) << message_kind(m);
+  }
 }
 
 class CodecFuzz : public ::testing::TestWithParam<std::uint64_t> {};
@@ -71,6 +98,7 @@ TEST_P(CodecFuzz, RandomGarbageNeverCrashes) {
       // If it decoded, re-encoding must succeed (the decoder only accepts
       // well-formed content).
       (void)encode_message(m);
+      expect_canonical(bytes, m);
     } catch (const DecodeError&) {
       // expected for almost all inputs
     }
@@ -101,6 +129,7 @@ TEST_P(CodecFuzz, SingleByteCorruptions) {
       try {
         const MessagePayload m = decode_message(mutated);
         (void)encode_message(m);  // decoded → must be internally consistent
+        expect_canonical(mutated, m);
       } catch (const DecodeError&) {
       }
     }

@@ -2,8 +2,11 @@
 // construction/application, confirmation state machine, staleness and grace.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <unordered_set>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/dgc/reference_listing.h"
 
 namespace adgc {
@@ -130,6 +133,84 @@ TEST(ReferenceListing, ExportSeqPerHolder) {
   EXPECT_TRUE(scions.accept_export_seq(2, 3));  // independent counter
   EXPECT_FALSE(scions.accept_export_seq(1, 5));
   EXPECT_TRUE(scions.accept_export_seq(1, 6));
+}
+
+/// The hash-set apply that the in-step walk replaced, kept as its oracle.
+ApplyNssResult apply_with_hash_set(ScionTable& scions, ProcessId holder,
+                                   const NewSetStubsMsg& msg, SimTime now,
+                                   SimTime pending_grace) {
+  ApplyNssResult res;
+  if (!scions.accept_export_seq(holder, msg.export_seq)) {
+    res.stale = true;
+    return res;
+  }
+  const std::unordered_set<RefId> live(msg.live.begin(), msg.live.end());
+  std::vector<RefId> doomed;
+  for (auto& [ref, scion] : scions) {
+    if (scion.holder != holder) continue;
+    if (live.contains(ref)) {
+      if (!scion.confirmed) {
+        scion.confirmed = true;
+        ++res.confirmed;
+      }
+      continue;
+    }
+    if (scion.confirmed || now >= scion.created_at + pending_grace) doomed.push_back(ref);
+  }
+  for (RefId ref : doomed) scions.erase(ref);
+  res.deleted = doomed.size();
+  return res;
+}
+
+std::set<RefId> refs_of(const ScionTable& scions, bool confirmed_only) {
+  std::set<RefId> out;
+  for (const auto& [ref, scion] : scions) {
+    if (!confirmed_only || scion.confirmed) out.insert(ref);
+  }
+  return out;
+}
+
+TEST(ReferenceListing, InStepApplyMatchesHashSetOracle) {
+  Rng rng(17);
+  for (int iter = 0; iter < 500; ++iter) {
+    // Scions of three holders over a small ref space, so listings hit, miss
+    // and interleave with other holders' refs.
+    ScionTable scions;
+    const std::uint64_t space = 8 + rng.below(200);
+    for (std::uint64_t k = 0; k < space; ++k) {
+      if (!rng.chance(0.6)) continue;
+      auto& sc = scions.ensure(make_ref_id(1, k), static_cast<ProcessId>(rng.below(3)), k,
+                               static_cast<SimTime>(rng.below(2 * kGrace)));
+      sc.confirmed = rng.chance(0.5);
+    }
+    const ProcessId holder = static_cast<ProcessId>(rng.below(3));
+    NewSetStubsMsg msg;
+    msg.export_seq = rng.below(3);
+    for (std::uint64_t k = 0; k < space + 4; ++k) {
+      if (rng.chance(0.4)) msg.live.push_back(make_ref_id(1, k));
+    }
+    if (rng.chance(0.3)) msg.live.push_back(make_ref_id(2, 0));  // past every scion
+    if (rng.chance(0.3)) {
+      // A hand-built listing: shuffled, with repeats.
+      for (std::size_t i = 0; i < msg.live.size() / 4; ++i) {
+        msg.live.push_back(msg.live[rng.below(msg.live.size())]);
+      }
+      for (std::size_t i = msg.live.size(); i > 1; --i) {
+        std::swap(msg.live[i - 1], msg.live[rng.below(i)]);
+      }
+    }
+    if (rng.chance(0.3)) scions.accept_export_seq(holder, 1);  // seq 0 and 1 go stale
+    const SimTime now = static_cast<SimTime>(rng.below(3 * kGrace));
+
+    ScionTable want = scions;
+    const ApplyNssResult expected = apply_with_hash_set(want, holder, msg, now, kGrace);
+    const ApplyNssResult got = apply_new_set_stubs(scions, holder, msg, now, kGrace);
+    ASSERT_EQ(got.stale, expected.stale) << iter;
+    ASSERT_EQ(got.deleted, expected.deleted) << iter;
+    ASSERT_EQ(got.confirmed, expected.confirmed) << iter;
+    ASSERT_EQ(refs_of(scions, false), refs_of(want, false)) << iter << ": deleted set";
+    ASSERT_EQ(refs_of(scions, true), refs_of(want, true)) << iter << ": confirmed set";
+  }
 }
 
 TEST(ScionTable, DropHolderErasesItsScionsAndWatermark) {

@@ -30,6 +30,9 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <system_error>
+
+#include <unistd.h>
 
 #include "src/common/log.h"
 #include "src/obs/trace.h"
@@ -281,12 +284,22 @@ int main(int argc, char** argv) {
   if (opt.snapshot_pipeline_latency_us > 0) {
     cfg.proc.snapshot_pipeline_latency_us = opt.snapshot_pipeline_latency_us;
   }
-  std::filesystem::path crash_dir;
+  // The crash runs' snapshot directory carries the pid, as the fault
+  // sweep's does, so concurrent runs of one seed keep apart; it is removed
+  // on every way out.
+  struct RemovedOnExit {
+    std::filesystem::path dir;
+    ~RemovedOnExit() {
+      std::error_code ec;
+      if (!dir.empty()) std::filesystem::remove_all(dir, ec);
+    }
+  } crash_dir;
   if (opt.crash_every > 0) {
-    crash_dir = std::filesystem::temp_directory_path() /
-                ("adgc_sim_crash_" + std::to_string(opt.seed));
-    std::filesystem::remove_all(crash_dir);
-    cfg.proc.snapshot_dir = crash_dir.string();
+    crash_dir.dir = std::filesystem::temp_directory_path() /
+                    ("adgc_sim_crash_" + std::to_string(::getpid()) + "_" +
+                     std::to_string(opt.seed));
+    std::filesystem::remove_all(crash_dir.dir);
+    cfg.proc.snapshot_dir = crash_dir.dir.string();
   }
   Runtime rt(opt.procs, cfg);
 
@@ -348,7 +361,6 @@ int main(int argc, char** argv) {
     std::printf("TRACE file=%s events=%zu\n", opt.obs_dump.c_str(), events.size());
   }
 
-  if (!crash_dir.empty()) std::filesystem::remove_all(crash_dir);
   if (!workload.converged()) {
     std::printf("\nNOT CONVERGED (garbage left or live objects missing)\n");
     return 1;
